@@ -37,10 +37,10 @@
 //!
 //! ```
 //! use pgsd_analysis::flags::flags_live_after;
-//! use pgsd_cc::driver::{frontend, lower_module};
+//! use pgsd_cc::driver::{frontend, lower_module_seeded};
 //!
 //! let module = frontend("t", "int main() { return 4 / 2; }")?;
-//! let funcs = lower_module(&module)?;
+//! let funcs = lower_module_seeded(&module, None)?;
 //! for f in &funcs {
 //!     let live = flags_live_after(f);
 //!     assert_eq!(live.len(), f.blocks.len());

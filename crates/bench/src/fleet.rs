@@ -528,12 +528,12 @@ pub fn run_campaign(versions_per_config: usize, threads: usize, tel: &Telemetry)
                     .unwrap_or_else(|| "<unledgered>".into());
             }
             for (k, (inj, truth)) in injs.iter().zip(&truths).enumerate() {
-                let run_image = match inj.patch {
+                let injected = match inj.patch {
                     Some(bytes) => patch_main_entry(image, bytes),
                     None => image.clone(),
                 };
                 let report = session
-                    .run(&run_image, &Input::args(&inj.args), FLEET_GAS, "fleet")
+                    .run(&injected, &Input::args(&inj.args), FLEET_GAS, "fleet")
                     .crash;
                 let Some(report) = report else {
                     fail(

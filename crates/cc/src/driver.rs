@@ -10,7 +10,7 @@ use crate::emit::{emit, Image};
 use crate::error::Result;
 use crate::frontend::{lex, parse};
 use crate::ir::builder::build;
-use crate::ir::passes::optimize_with;
+use crate::ir::passes::optimize;
 use crate::ir::verify::verify;
 use crate::ir::Module;
 use crate::lir::frame::lower_frame;
@@ -59,7 +59,7 @@ pub fn frontend_with(name: &str, source: &str, tel: &Telemetry) -> Result<Module
     }
     {
         let _s = tel.span("optimize");
-        optimize_with(&mut module, tel);
+        optimize(&mut module, tel);
     }
     {
         let _s = tel.span("verify");
@@ -70,24 +70,12 @@ pub fn frontend_with(name: &str, source: &str, tel: &Telemetry) -> Result<Module
     Ok(module)
 }
 
-/// The [`LowerCtx`] matching [`lower_module`]'s function layout.
+/// The [`LowerCtx`] matching [`lower_module_seeded`]'s function layout.
 pub fn lower_ctx() -> LowerCtx {
     LowerCtx {
         print_index: PRINT_INDEX as u32,
         user_func_base: runtime_functions().len() as u32,
     }
-}
-
-/// Lowers a module to the final function list: runtime stubs and filler
-/// first (undiversified, fixed bytes), then the user functions — selected,
-/// register-allocated and frame-lowered, ready for the NOP-insertion pass
-/// and emission.
-///
-/// # Errors
-///
-/// Propagates lowering and allocation failures.
-pub fn lower_module(module: &Module) -> Result<Vec<MFunction>> {
-    lower_module_seeded(module, None)
 }
 
 /// The six permutations of the allocatable register set.
@@ -103,12 +91,18 @@ fn permutation(k: u64) -> [Reg; 3] {
     }
 }
 
-/// Like [`lower_module`], but with *register randomization* (paper §6):
-/// when `reg_seed` is set, each user function receives a per-function
-/// permutation of the allocatable register set, derived deterministically
-/// from the seed — same-seed builds reproduce, different seeds shuffle
-/// which registers carry which values (and therefore the ModRM bytes of
-/// the emitted code). The runtime library is unaffected.
+/// Lowers a module to the final function list: runtime stubs and filler
+/// first (undiversified, fixed bytes), then the user functions — selected,
+/// register-allocated and frame-lowered, ready for the diversifying
+/// passes and emission.
+///
+/// `reg_seed` turns on *register randomization* (paper §6): when it is
+/// set, each user function receives a per-function permutation of the
+/// allocatable register set, derived deterministically from the seed —
+/// same-seed builds reproduce, different seeds shuffle which registers
+/// carry which values (and therefore the ModRM bytes of the emitted
+/// code). `None` is the deterministic baseline allocation. The runtime
+/// library is unaffected.
 ///
 /// # Errors
 ///
@@ -205,7 +199,7 @@ pub fn emit_image_with(funcs: &[MFunction], module: &Module, tel: &Telemetry) ->
 /// ```
 pub fn compile(name: &str, source: &str) -> Result<Image> {
     let module = frontend(name, source)?;
-    let funcs = lower_module(&module)?;
+    let funcs = lower_module_seeded(&module, None)?;
     emit_image(&funcs, &module)
 }
 
@@ -229,7 +223,7 @@ mod tests {
             "int helper() { return 1; } int main() { return helper(); }",
         )
         .unwrap();
-        let funcs = lower_module(&module).unwrap();
+        let funcs = lower_module_seeded(&module, None).unwrap();
         let base = lower_ctx().user_func_base as usize;
         assert_eq!(funcs[base].name, "helper");
         assert_eq!(funcs[base + 1].name, "main");

@@ -21,6 +21,7 @@ use crate::lir::frame::lower_frame;
 use crate::lir::isel::{select, LowerCtx};
 use crate::lir::regalloc::allocate;
 use crate::lir::{MAddr, MBlock, MFunction, MInst, MReg, MRhs, MTerm};
+use pgsd_telemetry::Telemetry;
 
 /// Syscall number for `exit` (status in `ebx`) — mirrors Linux.
 pub const SYS_EXIT: u8 = 1;
@@ -167,7 +168,7 @@ fn filler_functions() -> Vec<MFunction> {
         module.globals.is_empty(),
         "runtime filler must not declare globals (data belongs to the user module)"
     );
-    optimize(&mut module);
+    optimize(&mut module, &Telemetry::disabled());
     let ctx = LowerCtx {
         print_index: PRINT_INDEX as u32,
         user_func_base: 2, // filler functions follow the two stubs

@@ -9,13 +9,11 @@
 
 mod constfold;
 mod copyprop;
-mod cse;
 mod dce;
 mod simplifycfg;
 
 pub use constfold::const_fold;
 pub use copyprop::copy_propagate;
-pub use cse::eliminate_common_subexpressions;
 pub use dce::eliminate_dead_code;
 pub use simplifycfg::simplify_cfg;
 
@@ -27,23 +25,11 @@ use pgsd_telemetry::Telemetry;
 const MAX_PIPELINE_ITERS: usize = 16;
 
 /// Runs the full optimization pipeline on one function until nothing
-/// changes.
-///
-/// [`eliminate_common_subexpressions`] is deliberately *not* part of the
-/// default pipeline: the evaluation in EXPERIMENTS.md was produced with
-/// this exact pass roster, and reproducibility of those numbers wins over
-/// the (small) code-quality gain. Call [`optimize_function_aggressive`]
-/// to include it.
+/// changes, with each pass invocation recorded as a telemetry span (and
+/// a `ir.pass_changed{pass=…}` counter when it changed anything).
 ///
 /// Returns the number of iterations performed.
-pub fn optimize_function(func: &mut Function) -> usize {
-    optimize_function_with(func, &Telemetry::disabled())
-}
-
-/// Like [`optimize_function`], with each pass invocation recorded as a
-/// telemetry span (and a `ir.pass_changed{pass=…}` counter when it
-/// changed anything).
-pub fn optimize_function_with(func: &mut Function, tel: &Telemetry) -> usize {
+pub fn optimize_function(func: &mut Function, tel: &Telemetry) -> usize {
     for iter in 0..MAX_PIPELINE_ITERS {
         let mut changed = false;
         changed |= run_pass(tel, "constfold", func, const_fold);
@@ -71,38 +57,18 @@ fn run_pass(
     changed
 }
 
-/// Like [`optimize_function`] with local CSE included.
-pub fn optimize_function_aggressive(func: &mut Function) -> usize {
-    for iter in 0..MAX_PIPELINE_ITERS {
-        let mut changed = false;
-        changed |= const_fold(func);
-        changed |= eliminate_common_subexpressions(func);
-        changed |= copy_propagate(func);
-        changed |= eliminate_dead_code(func);
-        changed |= simplify_cfg(func);
-        if !changed {
-            return iter + 1;
-        }
-    }
-    MAX_PIPELINE_ITERS
-}
-
-/// Runs the optimization pipeline on every function of `module`.
-pub fn optimize(module: &mut Module) {
-    optimize_with(module, &Telemetry::disabled());
-}
-
-/// Like [`optimize`], recording one `optimize:<fn>` span per function and
-/// an `ir.fixpoint_iters` histogram observation.
-pub fn optimize_with(module: &mut Module, tel: &Telemetry) {
+/// Runs the optimization pipeline on every function of `module`,
+/// recording one `optimize:<fn>` span per function and an
+/// `ir.fixpoint_iters` histogram observation into `tel`.
+pub fn optimize(module: &mut Module, tel: &Telemetry) {
     for f in &mut module.funcs {
-        if tel.is_enabled() {
-            let _span = tel.span(&format!("optimize:{}", f.name));
-            let iters = optimize_function_with(f, tel);
-            tel.observe("ir.fixpoint_iters", iters as u64);
+        let _span = if tel.is_enabled() {
+            Some(tel.span(&format!("optimize:{}", f.name)))
         } else {
-            optimize_function(f);
-        }
+            None
+        };
+        let iters = optimize_function(f, tel);
+        tel.observe("ir.fixpoint_iters", iters as u64);
     }
     debug_assert!(
         super::verify::verify(module).is_ok(),
@@ -137,7 +103,7 @@ mod tests {
 
     fn optimized(src: &str) -> Module {
         let mut m = build("t", &parse(lex(src).unwrap()).unwrap()).unwrap();
-        optimize(&mut m);
+        optimize(&mut m, &Telemetry::disabled());
         m
     }
 

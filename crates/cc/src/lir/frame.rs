@@ -155,10 +155,11 @@ mod tests {
     use crate::ir::passes::optimize;
     use crate::lir::isel::{select, LowerCtx};
     use crate::lir::regalloc::allocate;
+    use pgsd_telemetry::Telemetry;
 
     fn full(src: &str) -> Vec<MFunction> {
         let mut m = build("t", &parse(lex(src).unwrap()).unwrap()).unwrap();
-        optimize(&mut m);
+        optimize(&mut m, &Telemetry::disabled());
         let ctx = LowerCtx {
             print_index: 1,
             user_func_base: 2,

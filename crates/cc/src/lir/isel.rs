@@ -570,10 +570,11 @@ mod tests {
     use crate::frontend::{lexer::lex, parser::parse};
     use crate::ir::builder::build;
     use crate::ir::passes::optimize;
+    use pgsd_telemetry::Telemetry;
 
     fn lower(src: &str) -> Vec<MFunction> {
         let mut m = build("t", &parse(lex(src).unwrap()).unwrap()).unwrap();
-        optimize(&mut m);
+        optimize(&mut m, &Telemetry::disabled());
         let ctx = LowerCtx {
             print_index: 1,
             user_func_base: 2,

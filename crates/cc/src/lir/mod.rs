@@ -13,7 +13,6 @@
 
 pub mod frame;
 pub mod isel;
-pub mod peephole;
 pub mod regalloc;
 
 use std::fmt;

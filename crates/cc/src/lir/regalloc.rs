@@ -413,10 +413,11 @@ mod tests {
     use crate::ir::builder::build;
     use crate::ir::passes::optimize;
     use crate::lir::isel::{select, LowerCtx};
+    use pgsd_telemetry::Telemetry;
 
     fn alloc(src: &str) -> Vec<MFunction> {
         let mut m = build("t", &parse(lex(src).unwrap()).unwrap()).unwrap();
-        optimize(&mut m);
+        optimize(&mut m, &Telemetry::disabled());
         let ctx = LowerCtx {
             print_index: 1,
             user_func_base: 2,

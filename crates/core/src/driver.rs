@@ -1,11 +1,12 @@
-//! High-level diversification driver: the "diversifying compiler" a user
-//! of the paper's system would invoke.
+//! Build configuration, the seed-dependent pipeline stages, and emulator
+//! glue for running images.
 //!
-//! Ties the whole toolchain together:
+//! [`crate::Session`] is the one build path: its cached build runs the
+//! stages below in order, memoizing the seed-independent prefix.
 //!
 //! ```text
-//! source ──frontend──► IR ──┬────────────────lower──► LIR ──nop pass──► image   (measurement)
-//!                           └─instrument──► LIR ──► image ──run(train)──► profile
+//! source ─frontend─► IR ─┬─lower─► LIR ─apply_diversity─► LIR ─emit─► image ─validate_pair
+//!                        └─instrument─► IR ─lower─► LIR ─emit─► image ─run(train)─► profile
 //! ```
 //!
 //! # Configuring a build
@@ -50,10 +51,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pgsd_analysis::divcheck::Transforms;
-use pgsd_cc::driver::{emit_image, emit_image_with, lower_module, lower_module_seeded_with};
 use pgsd_cc::emit::{Image, STACK_TOP};
 use pgsd_cc::error::{CompileError, Result};
-use pgsd_cc::ir::Module;
+use pgsd_cc::lir::MFunction;
 use pgsd_emu::{Emulator, Exit, InstClass, RunStats};
 use pgsd_profile::Profile;
 use pgsd_telemetry::Telemetry;
@@ -61,8 +61,8 @@ use pgsd_x86::nop::NopTable;
 
 use crate::curve::Strategy;
 use crate::nop_pass::insert_nops_with;
-use crate::shift_pass::shift_blocks_with;
-use crate::subst_pass::substitute_with;
+use crate::shift_pass::shift_blocks;
+use crate::subst_pass::substitute;
 
 /// Default instruction budget for emulated runs (generous for the
 /// synthetic workloads, small enough to catch runaways).
@@ -167,36 +167,6 @@ impl Default for BuildConfig {
     }
 }
 
-/// Compiles `module` according to `config`, consulting `profile` for
-/// profile-guided strategies.
-///
-/// # Errors
-///
-/// Propagates compilation errors; fails if a profile-guided strategy is
-/// requested without a profile.
-pub fn build(module: &Module, profile: Option<&Profile>, config: &BuildConfig) -> Result<Image> {
-    let tel = &config.telemetry;
-    let _build_span = tel.span("build");
-    require_profile(config, profile)?;
-    let diversifying = is_diversifying(config);
-    let reg_seed = if config.reg_randomize {
-        Some(config.seed)
-    } else {
-        None
-    };
-    let mut funcs = lower_module_seeded_with(module, reg_seed, tel)?;
-    if diversifying {
-        apply_diversity(&mut funcs, profile, config);
-    }
-    let image = emit_image_with(&funcs, module, tel)?;
-    if config.validate && diversifying {
-        let _s = tel.span("validate");
-        let baseline = emit_image(&lower_module(module)?, module)?;
-        validate_pair(&baseline, &image, config)?;
-    }
-    Ok(image)
-}
-
 /// Fails if a configured strategy needs profile data and none is given.
 pub(crate) fn require_profile(config: &BuildConfig, profile: Option<&Profile>) -> Result<()> {
     for s in config.strategy.iter().chain(config.substitution.iter()) {
@@ -221,11 +191,11 @@ pub(crate) fn is_diversifying(config: &BuildConfig) -> bool {
 /// and NOP passes over already-lowered functions, in pipeline order,
 /// from one RNG seeded with `config.seed`. Telemetry goes to
 /// `config.telemetry`.
-pub(crate) fn apply_diversity(
-    funcs: &mut [pgsd_cc::lir::MFunction],
-    profile: Option<&Profile>,
-    config: &BuildConfig,
-) {
+///
+/// This is the production diversify stage; it is public so that the
+/// differential fuzzer can inject a miscompilation after exactly the
+/// passes a shipped build runs.
+pub fn apply_diversity(funcs: &mut [MFunction], profile: Option<&Profile>, config: &BuildConfig) {
     let tel = &config.telemetry;
     let table = if config.with_xchg {
         NopTable::with_xchg()
@@ -235,11 +205,11 @@ pub(crate) fn apply_diversity(
     let mut rng = StdRng::seed_from_u64(config.seed);
     if let Some(max_pad) = config.shift_max_pad {
         let _s = tel.span("shift_pass");
-        shift_blocks_with(funcs, max_pad, &table, &mut rng, tel);
+        shift_blocks(funcs, max_pad, &table, &mut rng, tel);
     }
     if let Some(strategy) = &config.substitution {
         let _s = tel.span("subst_pass");
-        substitute_with(funcs, strategy, profile, &mut rng, tel);
+        substitute(funcs, strategy, profile, &mut rng, tel);
     }
     if let Some(strategy) = &config.strategy {
         let _s = tel.span("nop_pass");
@@ -314,25 +284,13 @@ pub fn load(image: &Image) -> Emulator {
 /// Returns the exit reason and execution statistics (cycles, instruction
 /// count, printed output).
 pub fn run(image: &Image, args: &[i32], gas: u64) -> (Exit, RunStats) {
-    run_input_impl(
+    let (exit, stats, _) = run_reported(
         image,
         &Input::args(args),
         gas,
         &Telemetry::disabled(),
         "run",
-    )
-}
-
-/// Shared run mechanics behind [`run`] and
-/// [`crate::Session::run`].
-pub(crate) fn run_input_impl(
-    image: &Image,
-    input: &Input,
-    gas: u64,
-    tel: &Telemetry,
-    label: &str,
-) -> (Exit, RunStats) {
-    let (exit, stats, _) = run_reported(image, input, gas, tel, label);
+    );
     (exit, stats)
 }
 
@@ -407,33 +365,10 @@ pub(crate) fn apply_pokes(image: &Image, emu: &mut Emulator, input: &Input) {
     }
 }
 
-/// End-to-end convenience: compile `source`, train on `train_inputs` when
-/// the strategy needs a profile, and return the diversified image.
-///
-/// # Errors
-///
-/// Propagates failures from any stage.
-pub fn compile_diversified(
-    name: &str,
-    source: &str,
-    config: &BuildConfig,
-    train_inputs: &[Input],
-) -> Result<Image> {
-    let session = crate::Session::from_source(name, source).config(config.clone());
-    let needs = config
-        .strategy
-        .as_ref()
-        .is_some_and(Strategy::needs_profile);
-    if needs {
-        session.train(train_inputs, DEFAULT_GAS)?;
-    }
-    session.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgsd_cc::driver::frontend;
+    use crate::Session;
 
     const SRC: &str = "int main(int n) {
         int s = 0;
@@ -443,18 +378,17 @@ mod tests {
 
     #[test]
     fn baseline_runs_correctly() {
-        let module = frontend("t", SRC).unwrap();
-        let image = build(&module, None, &BuildConfig::baseline()).unwrap();
+        let image = Session::from_source("t", SRC).build().unwrap();
         let (exit, _) = run(&image, &[10], 1_000_000);
         assert_eq!(exit, Exit::Exited(55));
     }
 
     #[test]
     fn uniform_diversified_builds_preserve_semantics() {
-        let module = frontend("t", SRC).unwrap();
+        let session = Session::from_source("t", SRC);
         for seed in 0..5 {
             let config = BuildConfig::diversified(Strategy::uniform(0.5), seed);
-            let image = build(&module, None, &config).unwrap();
+            let image = session.build_with(&config).unwrap();
             let (exit, _) = run(&image, &[10], 1_000_000);
             assert_eq!(exit, Exit::Exited(55), "seed {seed}");
         }
@@ -462,16 +396,16 @@ mod tests {
 
     #[test]
     fn profiled_strategy_requires_profile() {
-        let module = frontend("t", SRC).unwrap();
         let config = BuildConfig::diversified(Strategy::range(0.1, 0.5), 1);
-        let err = build(&module, None, &config).unwrap_err();
+        let err = Session::from_source("t", SRC)
+            .build_with(&config)
+            .unwrap_err();
         assert!(err.message.contains("requires profile"));
     }
 
     #[test]
     fn training_produces_sane_counts() {
-        let module = frontend("t", SRC).unwrap();
-        let session = crate::Session::new(module);
+        let session = Session::from_source("t", SRC);
         let profile = session.train(&[Input::args(&[100])], DEFAULT_GAS).unwrap();
         let main = profile.func("main").expect("main profiled");
         assert_eq!(main.invocations, 1);
@@ -481,12 +415,11 @@ mod tests {
 
     #[test]
     fn profile_guided_build_runs_and_is_faster_than_uniform() {
-        let module = frontend("t", SRC).unwrap();
-        let profile = crate::Session::new(module.clone())
-            .train(&[Input::args(&[50])], DEFAULT_GAS)
-            .unwrap();
+        let plain = Session::from_source("t", SRC);
+        let trained = Session::from_source("t", SRC);
+        trained.train(&[Input::args(&[50])], DEFAULT_GAS).unwrap();
 
-        let base = build(&module, None, &BuildConfig::baseline()).unwrap();
+        let base = plain.build_with(&BuildConfig::baseline()).unwrap();
         let (e0, s0) = run(&base, &[200], 10_000_000);
         assert_eq!(e0, Exit::Exited(20100));
 
@@ -495,22 +428,16 @@ mod tests {
         let mut pgo_cycles = 0u64;
         let seeds = 6;
         for seed in 0..seeds {
-            let uni = build(
-                &module,
-                None,
-                &BuildConfig::diversified(Strategy::uniform(0.5), seed),
-            )
-            .unwrap();
+            let uni = plain
+                .build_with(&BuildConfig::diversified(Strategy::uniform(0.5), seed))
+                .unwrap();
             let (e1, s1) = run(&uni, &[200], 10_000_000);
             assert_eq!(e1, Exit::Exited(20100));
             uni_cycles += s1.cycles;
 
-            let pgo = build(
-                &module,
-                Some(&profile),
-                &BuildConfig::diversified(Strategy::range(0.0, 0.5), seed),
-            )
-            .unwrap();
+            let pgo = trained
+                .build_with(&BuildConfig::diversified(Strategy::range(0.0, 0.5), seed))
+                .unwrap();
             let (e2, s2) = run(&pgo, &[200], 10_000_000);
             assert_eq!(e2, Exit::Exited(20100));
             pgo_cycles += s2.cycles;
@@ -525,8 +452,7 @@ mod tests {
 
     #[test]
     fn population_versions_differ_in_text() {
-        let module = frontend("t", SRC).unwrap();
-        let images = crate::Session::new(module)
+        let images = Session::from_source("t", SRC)
             .config(BuildConfig::diversified(Strategy::uniform(0.5), 100))
             .population(5)
             .unwrap();
@@ -542,14 +468,14 @@ mod tests {
 
     #[test]
     fn validated_builds_pass_divcheck() {
-        let module = frontend("t", SRC).unwrap();
+        let session = Session::from_source("t", SRC);
         for seed in 0..4 {
             let nop_only = BuildConfig::diversified(Strategy::uniform(0.5), seed).validated();
-            build(&module, None, &nop_only).unwrap_or_else(|e| {
+            session.build_with(&nop_only).unwrap_or_else(|e| {
                 panic!("nop-only seed {seed} failed validation:\n{}", e.message)
             });
             let full = BuildConfig::full_diversity(Strategy::uniform(0.5), seed).validated();
-            build(&module, None, &full).unwrap_or_else(|e| {
+            session.build_with(&full).unwrap_or_else(|e| {
                 panic!(
                     "full-diversity seed {seed} failed validation:\n{}",
                     e.message
@@ -562,22 +488,14 @@ mod tests {
     fn validation_rejects_undeclared_transforms() {
         // Build with substitution but validate as if only NOPs were
         // declared: the checker must refuse the proof.
-        let module = frontend("t", SRC).unwrap();
+        let session = Session::from_source("t", SRC);
         let config = BuildConfig::full_diversity(Strategy::uniform(1.0), 3);
-        let variant = build(&module, None, &config).unwrap();
-        let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+        let variant = session.build_with(&config).unwrap();
+        let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
         let narrow = pgsd_analysis::Transforms {
             nops: true,
             ..pgsd_analysis::Transforms::none()
         };
         assert!(pgsd_analysis::check_images(&baseline, &variant, &narrow).is_err());
-    }
-
-    #[test]
-    fn end_to_end_compile_diversified() {
-        let config = BuildConfig::diversified(Strategy::range(0.0, 0.3), 42);
-        let image = compile_diversified("t", SRC, &config, &[Input::args(&[25])]).unwrap();
-        let (exit, _) = run(&image, &[4], 1_000_000);
-        assert_eq!(exit, Exit::Exited(10));
     }
 }

@@ -10,12 +10,13 @@
 //!   linear/logarithmic profile-guided curves of §3.1);
 //! * [`nop_pass`] — Algorithm 1, run on the LIR just before emission (§4);
 //! * [`shift_pass`] — basic-block shifting, the §6 extension;
-//! * [`driver`] — the end-to-end diversifying compiler: train → profile →
-//!   diversify → emit, plus emulator glue for running images.
-//!
-//! * [`session`] — the [`Session`] front door: one handle over module,
-//!   profile, configuration, parallelism, and the content-addressed
-//!   artifact cache ([`pgsd_cache`]).
+//! * [`subst_pass`] — equivalent-instruction substitution, the other §6
+//!   extension;
+//! * [`driver`] — [`BuildConfig`], the diversify and validate stages,
+//!   and emulator glue for running images;
+//! * [`session`] — the [`Session`] front door and the one build path:
+//!   one handle over module, profile, configuration, parallelism, and
+//!   the content-addressed artifact cache ([`pgsd_cache`]).
 //!
 //! # Examples
 //!
@@ -45,7 +46,7 @@ pub mod shift_pass;
 pub mod subst_pass;
 
 pub use curve::{Curve, Strategy};
-pub use driver::{build, compile_diversified, run, run_reported, BuildConfig, Input};
+pub use driver::{run, run_reported, BuildConfig, Input};
 pub use nop_pass::{insert_nops, NopReport};
 pub use session::{variant_id, AuditOutcome, RunOutcome, Session, Symbolicated};
 pub use shift_pass::{shift_blocks, ShiftReport};

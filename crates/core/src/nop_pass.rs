@@ -138,12 +138,12 @@ fn maybe_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgsd_cc::driver::{frontend, lower_module};
+    use pgsd_cc::driver::{frontend, lower_module_seeded};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn lowered(src: &str) -> Vec<MFunction> {
-        lower_module(&frontend("t", src).unwrap()).unwrap()
+        lower_module_seeded(&frontend("t", src).unwrap(), None).unwrap()
     }
 
     fn count_nops(funcs: &[MFunction]) -> u64 {

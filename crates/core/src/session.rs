@@ -1,9 +1,9 @@
 //! The [`Session`] API: one handle over module, profile, configuration,
 //! parallelism and cache for the whole diversification workflow.
 //!
-//! A session replaces the old `train`/`train_with`,
-//! `run_input`/`run_input_with`, `population`/`population_par` free-
-//! function pairs with one builder:
+//! A session is the one build path: its cached build is the only code
+//! that runs lower → diversify → emit → validate in order, and training,
+//! runs and populations go through the same handle:
 //!
 //! ```
 //! use pgsd_core::{BuildConfig, Input, Session, Strategy};
@@ -491,33 +491,6 @@ impl Session {
         RunOutcome { exit, stats, crash }
     }
 
-    /// Runs an already-built image, returning only exit and stats.
-    #[deprecated(since = "0.1.0", note = "use Session::run, which returns a RunOutcome")]
-    pub fn run_image(
-        &self,
-        image: &Image,
-        input: &Input,
-        gas: u64,
-        label: &str,
-    ) -> (Exit, RunStats) {
-        let outcome = self.run(image, input, gas, label);
-        (outcome.exit, outcome.stats)
-    }
-
-    /// Runs an already-built image, returning exit, stats and crash
-    /// report as a tuple.
-    #[deprecated(since = "0.1.0", note = "use Session::run, which returns a RunOutcome")]
-    pub fn run_image_reported(
-        &self,
-        image: &Image,
-        input: &Input,
-        gas: u64,
-        label: &str,
-    ) -> (Exit, RunStats, Option<pgsd_emu::CrashReport>) {
-        let outcome = self.run(image, input, gas, label);
-        (outcome.exit, outcome.stats, outcome.crash)
-    }
-
     /// Builds a population of `n` diversified versions with seeds
     /// `config.seed .. config.seed + n`, in parallel on the session's
     /// worker count.
@@ -953,8 +926,9 @@ fn lowered_cached(
 }
 
 /// One cached build: image-level memoization, then the diversifying
-/// delta over the memoized baseline LIR. Produces bytes identical to
-/// [`crate::driver::build`] for the same inputs.
+/// delta over the memoized baseline LIR. This is the only function that
+/// runs lower → diversify → emit → validate in order; a session with
+/// [`Cache::disabled`] runs it cold and produces the same bytes.
 fn build_cached(
     module: &Module,
     mkey: Key,
@@ -1094,7 +1068,7 @@ fn train_cold(
 mod tests {
     use super::*;
     use crate::curve::Strategy;
-    use crate::driver::{build, run, DEFAULT_GAS};
+    use crate::driver::{run, DEFAULT_GAS};
     use pgsd_cc::driver::frontend;
 
     const SRC: &str = "int main(int n) {
@@ -1103,12 +1077,21 @@ mod tests {
         return s;
     }";
 
+    /// A build that memoizes nothing: the reference the cached path
+    /// must reproduce byte for byte.
+    fn cold_build(module: &Module, config: &BuildConfig) -> Image {
+        Session::new(module.clone())
+            .cache(Cache::disabled())
+            .build_with(config)
+            .unwrap()
+    }
+
     #[test]
     fn session_build_matches_uncached_build() {
         let module = frontend("t", SRC).unwrap();
         for seed in 0..4 {
             let config = BuildConfig::diversified(Strategy::uniform(0.5), seed);
-            let cold = build(&module, None, &config).unwrap();
+            let cold = cold_build(&module, &config);
             let session = Session::new(module.clone()).config(config.clone());
             let a = session.build().unwrap();
             let b = session.build().unwrap(); // cache hit
@@ -1166,7 +1149,7 @@ mod tests {
         let images = session.population(5).unwrap();
         for (i, img) in images.iter().enumerate() {
             let config = BuildConfig::diversified(Strategy::uniform(0.5), 100 + i as u64);
-            let cold = build(&module, None, &config).unwrap();
+            let cold = cold_build(&module, &config);
             assert_eq!(*img, cold, "seed {}", 100 + i);
             let (exit, _) = run(img, &[7], 1_000_000);
             assert_eq!(exit, Exit::Exited(28));
@@ -1181,7 +1164,7 @@ mod tests {
         let images = session.population(3).unwrap();
         for (i, img) in images.iter().enumerate() {
             let config = BuildConfig::full_diversity(Strategy::uniform(0.4), 9 + i as u64);
-            assert_eq!(*img, build(&module, None, &config).unwrap());
+            assert_eq!(*img, cold_build(&module, &config));
         }
     }
 
@@ -1333,12 +1316,10 @@ mod tests {
             .cache(Cache::disabled());
         let a = session.build().unwrap();
         let module = frontend("t", SRC).unwrap();
-        let cold = build(
+        let cold = cold_build(
             &module,
-            None,
             &BuildConfig::diversified(Strategy::uniform(0.5), 1),
-        )
-        .unwrap();
+        );
         assert_eq!(a, cold);
     }
 }

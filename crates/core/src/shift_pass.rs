@@ -29,19 +29,10 @@ pub struct ShiftReport {
 }
 
 /// Applies basic-block shifting to every diversifiable function, with a
-/// uniform padding size in `0..=max_pad` NOPs drawn per function.
+/// uniform padding size in `0..=max_pad` NOPs drawn per function,
+/// recording function/pad counters and a `shift.pad_len` histogram of
+/// the drawn shift distances into `tel`.
 pub fn shift_blocks(
-    funcs: &mut [MFunction],
-    max_pad: usize,
-    table: &NopTable,
-    rng: &mut impl Rng,
-) -> ShiftReport {
-    shift_blocks_with(funcs, max_pad, table, rng, &Telemetry::disabled())
-}
-
-/// Like [`shift_blocks`], recording function/pad counters and a
-/// `shift.pad_len` histogram of the drawn shift distances into `tel`.
-pub fn shift_blocks_with(
     funcs: &mut [MFunction],
     max_pad: usize,
     table: &NopTable,
@@ -108,7 +99,7 @@ fn retarget(term: &mut MTerm, f: impl Fn(u32) -> u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgsd_cc::driver::{emit_image, frontend, lower_module};
+    use pgsd_cc::driver::{emit_image, frontend, lower_module_seeded};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -118,9 +109,15 @@ mod tests {
     #[test]
     fn shifted_program_still_runs_correctly() {
         let module = frontend("t", SRC).unwrap();
-        let mut funcs = lower_module(&module).unwrap();
+        let mut funcs = lower_module_seeded(&module, None).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        let rep = shift_blocks(&mut funcs, 24, &NopTable::new(), &mut rng);
+        let rep = shift_blocks(
+            &mut funcs,
+            24,
+            &NopTable::new(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         assert!(rep.functions >= 2);
         let image = emit_image(&funcs, &module).unwrap();
 
@@ -138,11 +135,17 @@ mod tests {
     #[test]
     fn function_bodies_are_displaced() {
         let module = frontend("t", SRC).unwrap();
-        let baseline = emit_image(&lower_module(&module).unwrap(), &module).unwrap();
+        let baseline = emit_image(&lower_module_seeded(&module, None).unwrap(), &module).unwrap();
 
-        let mut funcs = lower_module(&module).unwrap();
+        let mut funcs = lower_module_seeded(&module, None).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        shift_blocks(&mut funcs, 32, &NopTable::new(), &mut rng);
+        shift_blocks(
+            &mut funcs,
+            32,
+            &NopTable::new(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         let shifted = emit_image(&funcs, &module).unwrap();
 
         // main's body must start at a different offset (pad > 0 with this
@@ -170,11 +173,17 @@ mod tests {
             let exit = emu.run(100_000);
             (exit, emu.stats.instructions)
         };
-        let base_funcs = lower_module(&module).unwrap();
+        let base_funcs = lower_module_seeded(&module, None).unwrap();
         let (e1, n1) = run(&base_funcs);
-        let mut shifted = lower_module(&module).unwrap();
+        let mut shifted = lower_module_seeded(&module, None).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        shift_blocks(&mut shifted, 32, &NopTable::new(), &mut rng);
+        shift_blocks(
+            &mut shifted,
+            32,
+            &NopTable::new(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         let (e2, n2) = run(&shifted);
         assert_eq!(e1, e2);
         // Only the entry jumps execute extra (one per function call).
@@ -184,9 +193,15 @@ mod tests {
     #[test]
     fn zero_max_pad_still_valid() {
         let module = frontend("t", SRC).unwrap();
-        let mut funcs = lower_module(&module).unwrap();
+        let mut funcs = lower_module_seeded(&module, None).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let rep = shift_blocks(&mut funcs, 0, &NopTable::new(), &mut rng);
+        let rep = shift_blocks(
+            &mut funcs,
+            0,
+            &NopTable::new(),
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         assert_eq!(rep.pad_nops, 0);
         assert!(emit_image(&funcs, &module).is_ok());
     }

@@ -131,19 +131,10 @@ fn equivalents(inst: &MInst, flags_dead: bool) -> Vec<Vec<MInst>> {
 
 /// Runs equivalent-instruction substitution over every diversifiable
 /// function, with the per-block probability from `strategy` (profile
-/// guided, as §6 suggests for this family of transformations).
+/// guided, as §6 suggests for this family of transformations),
+/// recording per-heat-bucket candidate/substitution counters and a
+/// `subst.p_pct` probability histogram into `tel`.
 pub fn substitute(
-    funcs: &mut [MFunction],
-    strategy: &Strategy,
-    profile: Option<&Profile>,
-    rng: &mut impl Rng,
-) -> SubstReport {
-    substitute_with(funcs, strategy, profile, rng, &Telemetry::disabled())
-}
-
-/// Like [`substitute`], recording per-heat-bucket candidate/substitution
-/// counters and a `subst.p_pct` probability histogram into `tel`.
-pub fn substitute_with(
     funcs: &mut [MFunction],
     strategy: &Strategy,
     profile: Option<&Profile>,
@@ -203,7 +194,7 @@ pub fn substitute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgsd_cc::driver::{emit_image, frontend, lower_module};
+    use pgsd_cc::driver::{emit_image, frontend, lower_module_seeded};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -227,12 +218,18 @@ mod tests {
     #[test]
     fn substitution_preserves_semantics() {
         let module = frontend("t", SRC).unwrap();
-        let baseline = lower_module(&module).unwrap();
+        let baseline = lower_module_seeded(&module, None).unwrap();
         let want = run_src(&baseline, &module, &[21, 5]);
         for seed in 0..24 {
-            let mut funcs = lower_module(&module).unwrap();
+            let mut funcs = lower_module_seeded(&module, None).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            substitute(&mut funcs, &Strategy::uniform(1.0), None, &mut rng);
+            substitute(
+                &mut funcs,
+                &Strategy::uniform(1.0),
+                None,
+                &mut rng,
+                &Telemetry::disabled(),
+            );
             assert_eq!(run_src(&funcs, &module, &[21, 5]), want, "seed {seed}");
         }
     }
@@ -240,11 +237,17 @@ mod tests {
     #[test]
     fn substitution_changes_bytes() {
         let module = frontend("t", SRC).unwrap();
-        let base_funcs = lower_module(&module).unwrap();
+        let base_funcs = lower_module_seeded(&module, None).unwrap();
         let base = emit_image(&base_funcs, &module).unwrap();
-        let mut funcs = lower_module(&module).unwrap();
+        let mut funcs = lower_module_seeded(&module, None).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let rep = substitute(&mut funcs, &Strategy::uniform(1.0), None, &mut rng);
+        let rep = substitute(
+            &mut funcs,
+            &Strategy::uniform(1.0),
+            None,
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         assert!(rep.substituted > 0, "{rep:?}");
         let img = emit_image(&funcs, &module).unwrap();
         assert_ne!(base.text, img.text);
@@ -263,13 +266,19 @@ mod tests {
             return 0;
         }";
         let module = frontend("t", src).unwrap();
-        let baseline = lower_module(&module).unwrap();
+        let baseline = lower_module_seeded(&module, None).unwrap();
         let want = run_src(&baseline, &module, &[5]);
         assert_eq!(want, 1);
         for seed in 0..16 {
-            let mut funcs = lower_module(&module).unwrap();
+            let mut funcs = lower_module_seeded(&module, None).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
-            substitute(&mut funcs, &Strategy::uniform(1.0), None, &mut rng);
+            substitute(
+                &mut funcs,
+                &Strategy::uniform(1.0),
+                None,
+                &mut rng,
+                &Telemetry::disabled(),
+            );
             assert_eq!(run_src(&funcs, &module, &[5]), want, "seed {seed}");
         }
     }
@@ -277,10 +286,16 @@ mod tests {
     #[test]
     fn runtime_functions_untouched() {
         let module = frontend("t", SRC).unwrap();
-        let mut funcs = lower_module(&module).unwrap();
+        let mut funcs = lower_module_seeded(&module, None).unwrap();
         let before: Vec<_> = funcs.iter().filter(|f| !f.diversify).cloned().collect();
         let mut rng = StdRng::seed_from_u64(2);
-        substitute(&mut funcs, &Strategy::uniform(1.0), None, &mut rng);
+        substitute(
+            &mut funcs,
+            &Strategy::uniform(1.0),
+            None,
+            &mut rng,
+            &Telemetry::disabled(),
+        );
         let after: Vec<_> = funcs.iter().filter(|f| !f.diversify).cloned().collect();
         assert_eq!(before, after);
     }

@@ -156,18 +156,14 @@ mod tests {
 
     #[test]
     fn real_diversified_binary_loses_most_gadgets() {
-        use pgsd_core::driver::{build, BuildConfig};
-        use pgsd_core::Strategy;
+        use pgsd_core::{BuildConfig, Session, Strategy};
         let src = "int helper(int x) { return x * 3 + 1; }
                    int main(int n) { int s = 0; for (int i = 0; i < n; i++) { s += helper(i); } return s; }";
-        let module = pgsd_cc::driver::frontend("t", src).unwrap();
-        let base = build(&module, None, &BuildConfig::baseline()).unwrap();
-        let div = build(
-            &module,
-            None,
-            &BuildConfig::diversified(Strategy::uniform(0.5), 7),
-        )
-        .unwrap();
+        let session = Session::from_source("t", src);
+        let base = session.build_with(&BuildConfig::baseline()).unwrap();
+        let div = session
+            .build_with(&BuildConfig::diversified(Strategy::uniform(0.5), 7))
+            .unwrap();
         let rep = survivor(&base.text, &div.text, &NopTable::new(), &cfg());
         assert!(rep.baseline > 0);
         // The undiversified runtime survives; diversified user code mostly

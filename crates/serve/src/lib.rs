@@ -42,7 +42,7 @@ pub mod client;
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -65,6 +65,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Per-connection socket timeout: a stalled or dead peer can hold a
 /// worker for at most this long.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most bytes a connection refused for its preamble discards while
+/// waiting for the peer to close (see [`close_after_reply`]).
+const DRAIN_CAP: u64 = 4096;
 
 /// Server configuration. `Default` gives a development server: worker
 /// count resolved like every other pgsd fan-out, a 32-connection queue,
@@ -317,7 +321,18 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, busy: bool) {
             message: format!("unrecognized protocol preamble {first:02x?}"),
         };
         let _ = write_frame(&mut stream, FrameKind::Json, resp.to_json().as_bytes());
+        close_after_reply(&stream);
     }
+}
+
+/// Hangs up without losing the reply already written: closing a socket
+/// with unread peer bytes queued makes the kernel send a reset, which
+/// can reach the peer before the reply does. So shut down the write
+/// side, then discard what the peer still sends — at most [`DRAIN_CAP`]
+/// bytes, each read bounded by [`IO_TIMEOUT`] — until it closes.
+fn close_after_reply(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(&mut stream.take(DRAIN_CAP), &mut std::io::sink());
 }
 
 fn handle_framed(mut stream: TcpStream, shared: &Shared, busy: bool) {

@@ -6,7 +6,7 @@
 //! cargo run --release --example profile_pipeline
 //! ```
 
-use pgsd::cc::driver::{emit_image, frontend, lower_module};
+use pgsd::cc::driver::{emit_image, frontend, lower_module_seeded};
 use pgsd::core::driver::{BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Curve, Session, Strategy};
 use pgsd::profile::{estimate, instrument};
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.num_counters, total_edges
     );
     // The instrumented module compiles like any other.
-    let funcs = lower_module(&instrumented)?;
+    let funcs = lower_module_seeded(&instrumented, None)?;
     let image = emit_image(&funcs, &instrumented)?;
     println!("instrumented image: {} bytes of text", image.text.len());
 

@@ -21,10 +21,9 @@
 //! cargo run --release --example rop_attack
 //! ```
 
-use pgsd::cc::driver::frontend;
 use pgsd::cc::emit::Image;
-use pgsd::core::driver::{build, load, BuildConfig};
-use pgsd::core::Strategy;
+use pgsd::core::driver::{load, BuildConfig};
+use pgsd::core::{Session, Strategy};
 use pgsd::emu::Exit;
 
 const VICTIM: &str = r#"
@@ -102,8 +101,8 @@ fn build_payload(pop_ebx_gadget: u32, exit_tail: u32) -> Vec<i32> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let module = frontend("victim", VICTIM)?;
-    let baseline = build(&module, None, &BuildConfig::baseline())?;
+    let session = Session::from_source("victim", VICTIM);
+    let baseline = session.build_with(&BuildConfig::baseline())?;
 
     // Normal operation.
     let normal = run_with_payload(&baseline, &[7, 0, 0, 0]);
@@ -141,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut defeated = 0;
     let n = 10;
     for seed in 0..n {
-        let image = build(&module, None, &BuildConfig::diversified(strategy, seed))?;
+        let image = session.build_with(&BuildConfig::diversified(strategy, seed))?;
         let outcome = run_with_payload(&image, &payload);
         let pwned = outcome == Exit::Exited(PWNED);
         println!(

@@ -8,9 +8,8 @@
 
 use proptest::prelude::*;
 
-use pgsd::cc::driver::frontend;
-use pgsd::core::driver::{build, run, BuildConfig};
-use pgsd::core::Strategy as NopStrategy;
+use pgsd::core::driver::{run, BuildConfig};
+use pgsd::core::{Session, Strategy as NopStrategy};
 
 /// A small expression AST mirrored in both MiniC text and Rust semantics.
 #[derive(Debug, Clone)]
@@ -165,22 +164,22 @@ proptest! {
              int main(int a, int b, int c) {{ return f(a, b, c); }}",
             e.to_minic()
         );
-        let module = frontend("diff", &source).expect("generated source compiles");
+        let session = Session::from_source("diff", &source);
         let expected = e.eval([a, b, c]);
 
-        let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+        let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
         let (exit, _) = run(&baseline, &[a, b, c], 10_000_000);
         prop_assert_eq!(exit.status(), Some(expected), "baseline mismatch on {}", source);
 
         let config = BuildConfig::diversified(NopStrategy::uniform(0.5), seed);
-        let diversified = build(&module, None, &config).unwrap();
+        let diversified = session.build_with(&config).unwrap();
         let (exit, _) = run(&diversified, &[a, b, c], 10_000_000);
         prop_assert_eq!(exit.status(), Some(expected), "diversified mismatch on {}", source);
 
         // The full diversity stack (NOPs + substitution + shifting +
         // register randomization) must also agree.
         let config = BuildConfig::full_diversity(NopStrategy::uniform(0.5), seed);
-        let full = build(&module, None, &config).unwrap();
+        let full = session.build_with(&config).unwrap();
         let (exit, _) = run(&full, &[a, b, c], 10_000_000);
         prop_assert_eq!(exit.status(), Some(expected), "full-diversity mismatch on {}", source);
     }

@@ -14,11 +14,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use pgsd::cc::driver::frontend;
 use pgsd::cc::frontend::ast::{BinOp, Expr, LValue, Program, Stmt, UnOp};
 use pgsd::cc::frontend::{lex, parse};
-use pgsd::core::driver::{build, run, BuildConfig};
-use pgsd::core::Strategy as NopStrategy;
+use pgsd::core::driver::{run, BuildConfig};
+use pgsd::core::{Session, Strategy as NopStrategy};
 
 // ---------------------------------------------------------------------
 // Program generator: emits MiniC *source text*. Loops are always bounded
@@ -425,8 +424,8 @@ fn assert_case(stmts: &[GStmt], a: i32, b: i32, seed: u64) {
     let program = parse(lex(&source).expect("lexes")).expect("parses");
     let expected = AstInterp::new(&program).call("main", &[a, b]);
 
-    let module = frontend("cf", &source).expect("compiles");
-    let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let session = Session::from_source("cf", &source);
+    let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
     let (exit, _) = run(&baseline, &[a, b], 50_000_000);
     assert_eq!(
         exit.status(),
@@ -435,7 +434,7 @@ fn assert_case(stmts: &[GStmt], a: i32, b: i32, seed: u64) {
     );
 
     let config = BuildConfig::full_diversity(NopStrategy::uniform(0.4), seed);
-    let image = build(&module, None, &config).unwrap();
+    let image = session.build_with(&config).unwrap();
     let (exit, _) = run(&image, &[a, b], 50_000_000);
     assert_eq!(
         exit.status(),

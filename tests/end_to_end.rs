@@ -2,7 +2,7 @@
 //! emulated execution, with and without profiling and diversification.
 
 use pgsd::cc::driver::frontend;
-use pgsd::core::driver::{build, run, BuildConfig, Input, DEFAULT_GAS};
+use pgsd::core::driver::{run, BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Curve, Session, Strategy};
 use pgsd::emu::Exit;
 
@@ -104,8 +104,7 @@ fn expected_for(a: i32, b: i32) -> (i32, Vec<i32>) {
 
 #[test]
 fn kitchen_sink_matches_rust_reference() {
-    let module = frontend("sink", KITCHEN_SINK).unwrap();
-    let image = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let image = Session::from_source("sink", KITCHEN_SINK).build().unwrap();
     for (a, b) in [(10, 3), (25, -17), (0, 0), (29, 99), (7, 123456)] {
         let (want, out) = expected_for(a, b);
         let (exit, stats) = run(&image, &[a, b], DEFAULT_GAS);
@@ -176,16 +175,19 @@ fn full_diversity_stack_preserves_semantics() {
 
 #[test]
 fn register_randomization_alone_diversifies_and_preserves() {
-    let module = frontend("sink", KITCHEN_SINK).unwrap();
+    let session = Session::from_source("sink", KITCHEN_SINK);
     let (want, _) = expected_for(9, 2);
     let cfg = |seed| BuildConfig {
         reg_randomize: true,
         seed,
         ..BuildConfig::baseline()
     };
-    let a = build(&module, None, &cfg(1)).unwrap();
-    let b = build(&module, None, &cfg(2)).unwrap();
-    let a2 = build(&module, None, &cfg(1)).unwrap();
+    let a = session.build_with(&cfg(1)).unwrap();
+    let b = session.build_with(&cfg(2)).unwrap();
+    // A fresh session compiles from scratch rather than hitting the cache.
+    let a2 = Session::from_source("sink", KITCHEN_SINK)
+        .build_with(&cfg(1))
+        .unwrap();
     assert_eq!(a.text, a2.text, "same seed reproduces");
     assert_ne!(a.text, b.text, "different seeds shuffle registers");
     for img in [&a, &b] {
@@ -196,16 +198,16 @@ fn register_randomization_alone_diversifies_and_preserves() {
 
 #[test]
 fn substitution_alone_diversifies_and_preserves() {
-    let module = frontend("sink", KITCHEN_SINK).unwrap();
+    let session = Session::from_source("sink", KITCHEN_SINK);
     let (want, _) = expected_for(13, -8);
     let cfg = |seed| BuildConfig {
         substitution: Some(Strategy::uniform(0.8)),
         seed,
         ..BuildConfig::baseline()
     };
-    let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
-    let a = build(&module, None, &cfg(1)).unwrap();
-    let b = build(&module, None, &cfg(2)).unwrap();
+    let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
+    let a = session.build_with(&cfg(1)).unwrap();
+    let b = session.build_with(&cfg(2)).unwrap();
     assert_ne!(a.text, baseline.text);
     assert_ne!(a.text, b.text);
     for img in [&a, &b] {
@@ -255,8 +257,7 @@ fn spilled_two_address_destination_regression() {
 fn deep_recursion_and_stack_discipline() {
     let src = "int depth(int n) { if (n == 0) { return 0; } return 1 + depth(n - 1); }
                int main(int n) { return depth(n); }";
-    let module = frontend("deep", src).unwrap();
-    let image = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let image = Session::from_source("deep", src).build().unwrap();
     let (exit, _) = run(&image, &[5000], DEFAULT_GAS);
     assert_eq!(exit, Exit::Exited(5000));
     // Blowing the 1 MiB stack faults instead of corrupting memory.
@@ -267,8 +268,7 @@ fn deep_recursion_and_stack_discipline() {
 #[test]
 fn division_traps_are_observable() {
     let src = "int main(int a, int b) { return a / b; }";
-    let module = frontend("div", src).unwrap();
-    let image = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let image = Session::from_source("div", src).build().unwrap();
     assert_eq!(run(&image, &[12, 3], DEFAULT_GAS).0, Exit::Exited(4));
     assert!(matches!(
         run(&image, &[12, 0], DEFAULT_GAS).0,

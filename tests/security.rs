@@ -2,8 +2,8 @@
 //! comparison, population survival and attack feasibility on real
 //! compiled binaries.
 
-use pgsd::cc::driver::frontend;
-use pgsd::core::driver::{build, BuildConfig};
+use pgsd::cc::emit::Image;
+use pgsd::core::driver::BuildConfig;
 use pgsd::core::{Session, Strategy};
 use pgsd::gadget::{
     check_attack, find_gadgets, population_survival, survivor, AttackTemplate, ScanConfig,
@@ -27,15 +27,15 @@ int churn(int n) {
 int main(int n) { return churn(n) & 0xffff; }
 "#;
 
-fn baseline_and_module() -> (pgsd::cc::ir::Module, pgsd::cc::emit::Image) {
-    let module = frontend("sec", PROGRAM).unwrap();
-    let image = build(&module, None, &BuildConfig::baseline()).unwrap();
-    (module, image)
+fn baseline_and_session() -> (Session, Image) {
+    let session = Session::from_source("sec", PROGRAM);
+    let image = session.build().unwrap();
+    (session, image)
 }
 
 #[test]
 fn gadgets_exist_and_are_valid_ranges() {
-    let (_, image) = baseline_and_module();
+    let (_, image) = baseline_and_session();
     let cfg = ScanConfig::default();
     let gadgets = find_gadgets(&image.text, &cfg);
     assert!(gadgets.len() > 30, "even small binaries have many gadgets");
@@ -53,7 +53,7 @@ fn gadgets_exist_and_are_valid_ranges() {
 
 #[test]
 fn survivor_is_reflexive_and_anti_monotone_in_pnop() {
-    let (module, image) = baseline_and_module();
+    let (session, image) = baseline_and_session();
     let cfg = ScanConfig::default();
     let table = NopTable::new();
 
@@ -66,12 +66,9 @@ fn survivor_is_reflexive_and_anti_monotone_in_pnop() {
     let avg = |p: f64| {
         let total: usize = (0..8u64)
             .map(|seed| {
-                let div = build(
-                    &module,
-                    None,
-                    &BuildConfig::diversified(Strategy::uniform(p), seed),
-                )
-                .unwrap();
+                let div = session
+                    .build_with(&BuildConfig::diversified(Strategy::uniform(p), seed))
+                    .unwrap();
                 survivor(&image.text, &div.text, &table, &cfg).count()
             })
             .sum();
@@ -87,10 +84,10 @@ fn survivor_is_reflexive_and_anti_monotone_in_pnop() {
 
 #[test]
 fn runtime_tail_is_constant_across_population() {
-    let (module, image) = baseline_and_module();
+    let (session, image) = baseline_and_session();
     let cfg = ScanConfig::default();
     let table = NopTable::new();
-    let session = Session::new(module).config(BuildConfig::diversified(Strategy::uniform(0.5), 0));
+    let session = session.config(BuildConfig::diversified(Strategy::uniform(0.5), 0));
     let texts: Vec<Vec<u8>> = session
         .population(9)
         .unwrap()
@@ -128,7 +125,7 @@ fn diversification_reduces_attack_surface_monotonically() {
     // Not a feasibility claim (tiny binaries vary); checks that the
     // Survivor fraction for user code decreases sharply under the
     // paper's weakest setting.
-    let (module, image) = baseline_and_module();
+    let (session, image) = baseline_and_session();
     let cfg = ScanConfig::default();
     let table = NopTable::new();
     let user_start = image
@@ -143,12 +140,9 @@ fn diversification_reduces_attack_surface_monotonically() {
         .filter(|g| g.offset >= user_start)
         .count();
     assert!(user_baseline > 10);
-    let div = build(
-        &module,
-        None,
-        &BuildConfig::diversified(Strategy::uniform(0.30), 3),
-    )
-    .unwrap();
+    let div = session
+        .build_with(&BuildConfig::diversified(Strategy::uniform(0.30), 3))
+        .unwrap();
     let rep = survivor(&image.text, &div.text, &table, &cfg);
     let user_survivors = rep.survivors.iter().filter(|&&o| o >= user_start).count();
     assert!(
@@ -162,8 +156,9 @@ fn attack_templates_agree_with_gadget_richness() {
     // The PHP-like interpreter (large, unintended-gadget-rich) must be
     // attackable; checked here once so the php_casestudy bench's
     // precondition is covered by the test suite too.
-    let module = frontend("php", &pgsd::workloads::php_source()).unwrap();
-    let image = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let image = Session::from_source("php", &pgsd::workloads::php_source())
+        .build()
+        .unwrap();
     for tpl in [AttackTemplate::ropgadget(), AttackTemplate::microgadgets()] {
         let verdict = check_attack(&image.text, &tpl);
         assert!(

@@ -7,11 +7,9 @@
 use proptest::prelude::*;
 
 use pgsd::analysis::{check_images, Transforms};
-use pgsd::cc::driver::frontend;
 use pgsd::cc::emit::Image;
-use pgsd::cc::ir::Module;
-use pgsd::core::driver::{build, BuildConfig};
-use pgsd::core::Strategy;
+use pgsd::core::driver::BuildConfig;
+use pgsd::core::{Session, Strategy};
 use pgsd::workloads::gen::{generate_program, support_layer, GenConfig};
 use pgsd::x86::decode;
 
@@ -39,11 +37,13 @@ fn combos(seed: u64) -> Vec<(&'static str, BuildConfig)> {
     ]
 }
 
-fn check_all_combos(module: &Module, baseline: &Image, seed: u64, ctx: &str) {
+fn check_all_combos(session: &Session, seed: u64, ctx: &str) {
+    let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
     for (name, config) in combos(seed) {
-        let variant = build(module, None, &config)
+        let variant = session
+            .build_with(&config)
             .unwrap_or_else(|e| panic!("{ctx}: {name} seed {seed} failed to build: {e}"));
-        if let Err(diags) = check_images(baseline, &variant, &config.transforms()) {
+        if let Err(diags) = check_images(&baseline, &variant, &config.transforms()) {
             let rendered: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
             panic!(
                 "{ctx}: false positive for {name} seed {seed}:\n{}",
@@ -69,10 +69,9 @@ proptest! {
             seed: gen_seed,
             active_per_iter: 2,
         });
-        let module = frontend("val", &src).expect("generated source compiles");
-        let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+        let session = Session::from_source("val", &src);
         for seed in seed_base..seed_base + 3 {
-            check_all_combos(&module, &baseline, seed, "gen");
+            check_all_combos(&session, seed, "gen");
         }
     }
 }
@@ -85,10 +84,9 @@ fn support_layer_workload_validates() {
         "int main(int n) {{ int s = 0; for (int i = 0; i < n; i++) {{ s += i * 3; }} return s; }}\n{}",
         support_layer(6, 11)
     );
-    let module = frontend("sup", &src).unwrap();
-    let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let session = Session::from_source("sup", &src);
     for seed in 0..3 {
-        check_all_combos(&module, &baseline, seed, "support");
+        check_all_combos(&session, seed, "support");
     }
 }
 
@@ -118,10 +116,10 @@ fn corrupted_variant_is_rejected() {
         seed: 3,
         active_per_iter: 2,
     });
-    let module = frontend("mut", &src).unwrap();
-    let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let session = Session::from_source("mut", &src);
+    let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
     let config = BuildConfig::diversified(Strategy::uniform(1.0), 5);
-    let mut variant = build(&module, None, &config).unwrap();
+    let mut variant = session.build_with(&config).unwrap();
     check_images(&baseline, &variant, &config.transforms()).expect("uncorrupted variant passes");
     assert!(
         corrupt_a_nop(&mut variant),
@@ -140,10 +138,10 @@ fn undeclared_transforms_are_rejected() {
         seed: 8,
         active_per_iter: 2,
     });
-    let module = frontend("dec", &src).unwrap();
-    let baseline = build(&module, None, &BuildConfig::baseline()).unwrap();
+    let session = Session::from_source("dec", &src);
+    let baseline = session.build_with(&BuildConfig::baseline()).unwrap();
     let full = BuildConfig::full_diversity(Strategy::uniform(1.0), 2);
-    let variant = build(&module, None, &full).unwrap();
+    let variant = session.build_with(&full).unwrap();
     // Declaring only NOP insertion must not be enough to prove a variant
     // that also shifted blocks, substituted, and remapped registers.
     let narrow = Transforms {
@@ -162,11 +160,11 @@ fn cross_seed_variants_do_not_validate_against_each_other() {
         seed: 21,
         active_per_iter: 2,
     });
-    let module = frontend("x", &src).unwrap();
+    let session = Session::from_source("x", &src);
     let config_a = BuildConfig::diversified(Strategy::uniform(0.9), 1);
     let config_b = BuildConfig::diversified(Strategy::uniform(0.9), 2);
-    let a = build(&module, None, &config_a).unwrap();
-    let b = build(&module, None, &config_b).unwrap();
+    let a = session.build_with(&config_a).unwrap();
+    let b = session.build_with(&config_b).unwrap();
     assert_ne!(a.text, b.text);
     assert!(check_images(&a, &b, &config_a.transforms()).is_err());
 }
