@@ -43,6 +43,14 @@ pub enum Strategy {
     },
 }
 
+/// The paper's headline configuration, pNOP = 0–30% on the log curve:
+/// the strategy a `pgsd` request gets when it names none.
+impl Default for Strategy {
+    fn default() -> Strategy {
+        Strategy::range(0.0, 0.30)
+    }
+}
+
 impl Strategy {
     /// The paper's `pNOP = 50%` configuration (maximum diversity).
     pub fn uniform(p: f64) -> Strategy {

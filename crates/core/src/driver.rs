@@ -135,6 +135,39 @@ impl BuildConfig {
         }
     }
 
+    /// The build a `pgsd` request asks for, from the CLI's flags or a
+    /// serve daemon's `DiversifyRequest`: NOP insertion with `strategy`,
+    /// plus each §6 extension the request switches on — block shifting
+    /// with a 24-byte maximum pad, substitution at the NOP strategy's
+    /// probabilities, register randomization — and, with `validate`,
+    /// the post-build proof. One mapping, so the CLI and the daemon
+    /// build the same bytes for the same request.
+    pub fn requested(
+        strategy: Strategy,
+        seed: u64,
+        shift: bool,
+        subst: bool,
+        regrand: bool,
+        validate: bool,
+    ) -> BuildConfig {
+        BuildConfig {
+            strategy: Some(strategy),
+            with_xchg: false,
+            shift_max_pad: shift.then_some(24),
+            substitution: subst.then_some(strategy),
+            reg_randomize: regrand,
+            seed,
+            validate,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// Whether a session must train before this build: a profile-guided
+    /// NOP strategy needs the profile, and substitution reads it too.
+    pub fn needs_training(&self) -> bool {
+        self.strategy.is_some_and(|s| s.needs_profile()) || self.substitution.is_some()
+    }
+
     /// Returns this configuration with post-build validation enabled
     /// (see the [module docs](self)).
     pub fn validated(mut self) -> BuildConfig {

@@ -48,6 +48,6 @@ pub mod subst_pass;
 pub use curve::{Curve, Strategy};
 pub use driver::{run, run_reported, BuildConfig, Input};
 pub use nop_pass::{insert_nops, NopReport};
-pub use session::{variant_id, AuditOutcome, RunOutcome, Session, Symbolicated};
+pub use session::{transforms_label, variant_id, AuditOutcome, RunOutcome, Session, Symbolicated};
 pub use shift_pass::{shift_blocks, ShiftReport};
 pub use subst_pass::{substitute, SubstReport};

@@ -829,8 +829,9 @@ pub fn variant_id(image: &Image) -> String {
 }
 
 /// Stable `+`-joined label for a transform set, e.g.
-/// `"nop+subst+shift+regrand"`; `"none"` when empty.
-fn transforms_label(t: &Transforms) -> String {
+/// `"nop+subst+shift+regrand"`; `"none"` when empty. The provenance
+/// ledger records it, and `pgsd diversify --json` prints it.
+pub fn transforms_label(t: &Transforms) -> String {
     let mut parts = Vec::new();
     if t.nops {
         parts.push("nop");

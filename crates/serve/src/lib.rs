@@ -476,14 +476,23 @@ fn build_variant(
 ) -> Result<(VariantInfo, Vec<u8>), ProtoError> {
     let strategy = match &req.pnop {
         Some(spec) => Strategy::parse(spec).map_err(ProtoError::bad_request)?,
-        None => Strategy::range(0.0, 0.30), // the paper's headline config
+        None => Strategy::default(),
     };
     let (session, default_train) = session_for(shared, &req.target)?;
     let (seed, pinned) = match req.seed {
         Some(s) => (s, true),
         None => (shared.next_seed.fetch_add(1, Ordering::SeqCst), false),
     };
-    if strategy.needs_profile() || req.subst {
+    let config = BuildConfig::requested(
+        strategy,
+        seed,
+        req.shift,
+        req.subst,
+        req.regrand,
+        req.validate,
+    )
+    .with_telemetry(shared.tel.clone());
+    if config.needs_training() {
         let inputs = match &req.train {
             Some(args) => vec![Input::args(args)],
             None if !default_train.is_empty() => default_train,
@@ -497,16 +506,6 @@ fn build_variant(
             ProtoError::new(ErrorCode::BuildFailed, format!("training failed: {e}"))
         })?;
     }
-    let config = BuildConfig {
-        strategy: Some(strategy),
-        with_xchg: false,
-        shift_max_pad: if req.shift { Some(24) } else { None },
-        substitution: if req.subst { Some(strategy) } else { None },
-        reg_randomize: req.regrand,
-        seed,
-        validate: req.validate,
-        telemetry: shared.tel.clone(),
-    };
     let image = session
         .build_with(&config)
         .map_err(|e| ProtoError::new(ErrorCode::BuildFailed, e.to_string()))?;

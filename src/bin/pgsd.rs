@@ -1,40 +1,9 @@
 //! `pgsd` — command-line front door to the diversifying toolchain.
 //!
-//! ```text
-//! pgsd run <file.mc> [args…]                      compile and execute
-//! pgsd diversify <file.mc> [options] [args…]      diversified build + run
-//! pgsd check <file.mc> [options] [--json]         statically validate a variant
-//! pgsd audit <file.mc | --workload LIST> [opts]   whole-image static audit
-//! pgsd symbolicate <file.mc> <id> <addr>          remap a variant crash address
-//! pgsd gadgets <file.mc> [--seed N] [--pnop SPEC] gadget / Survivor report
-//! pgsd disasm <file.mc> [--func NAME]             disassemble the image
-//! pgsd report <metrics.json>                      summarize a metrics file
-//! pgsd fuzz [options]                             differential variant fuzzing
-//! pgsd bench [--out FILE]                         timed slice → BENCH_pgsd.json
-//! pgsd cache <stats|clear> [--json]               inspect / empty the cache
-//! pgsd serve [--addr HOST:PORT] [--queue N]       variant-distribution daemon
-//! pgsd fetch <file.mc | --workload NAME> --addr … fetch a variant from a daemon
-//!
-//! global flags (valid anywhere on the command line):
-//!   --cache-dir DIR  persist compiled artifacts under DIR and reuse them
-//!                    across invocations (also selects the directory for
-//!                    `pgsd cache`; default `.pgsd-cache` there)
-//!   --threads N      worker count for parallel sections
-//!
-//! diversify / check options:
-//!   --pnop SPEC      uniform `0.5` or profile-guided range `0.0-0.3`
-//!                    (default 0.0-0.3, the paper's cheapest setting)
-//!   --seed N         RNG seed (default 1)
-//!   --train LIST     comma-separated ints for the training run
-//!                    (default: the program's run arguments)
-//!   --shift          also apply basic-block shifting (§6)
-//!   --subst          also apply equivalent-instruction substitution (§6)
-//!   --regrand        also randomize register allocation (§6)
-//!   --validate       (diversify only) run the divcheck validator after
-//!                    the build and fail on any finding
-//!   --trace FILE     write a Chrome trace_event JSON of all phases
-//!   --metrics FILE   write the metrics JSON (counters/gauges/histograms)
-//! ```
+//! `pgsd --help` lists every command with its operands and flags. The
+//! listing, the parser and its error messages all come from one spec:
+//! [`COMMANDS`] gives each command's operands and handler, and
+//! [`FLAG_TABLE`] gives each flag once, with the commands it applies to.
 //!
 //! Diagnostics go to stderr. Exit codes are stable: `0` success, `1` the
 //! checked property failed (divcheck findings, audit error findings, fuzz
@@ -44,14 +13,16 @@
 //! schema-versioned envelope document on stdout and nothing else, so
 //! `pgsd … --json | python -m json.tool` always parses.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use pgsd::analysis::{check_images, findings_json, sort_findings};
 use pgsd::cache::Cache;
 use pgsd::cc::emit::Image;
 use pgsd::core::driver::{BuildConfig, Input, DEFAULT_GAS};
-use pgsd::core::{Session, Strategy};
+use pgsd::core::{transforms_label, Session, Strategy};
 use pgsd::fuzz::diff::TransformSet;
 use pgsd::fuzz::{fuzz, replay, FuzzConfig};
 use pgsd::gadget::{find_gadgets, survivor, ScanConfig};
@@ -63,10 +34,15 @@ use pgsd::x86::decode;
 use pgsd::x86::nop::NopTable;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = split_globals(&args)
-        .map_err(CliError::from)
-        .and_then(|(globals, rest)| dispatch(&globals, &rest));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match parse(&argv) {
+        Ok(Some(args)) => (args.cmd.2)(&args),
+        Ok(None) => {
+            print_help();
+            Ok(())
+        }
+        Err(msg) => Err(CliError::from(msg)),
+    };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -108,126 +84,332 @@ impl From<&str> for CliError {
     }
 }
 
-/// Flags the CLI accepts at any position, before or after the
-/// subcommand.
-struct Globals {
-    cache_dir: Option<PathBuf>,
+/// The positional arguments a command takes besides its flags.
+enum Operands {
+    /// Exactly these, in order, each as (usage name, what an error
+    /// calls it a missing one).
+    Exactly(&'static [(&'static str, &'static str)]),
+    /// An optional source file: `audit` and `fetch` can take
+    /// `--workload` names instead.
+    OptionalFile,
+    /// A source file, then integer program arguments (`check` and
+    /// `gadgets` train on them when `--train` is absent).
+    FileThenArgs,
+}
+
+const FILE: (&str, &str) = ("<file.mc>", "source file");
+
+/// One command: its name, its operands and the function that runs it.
+struct Command(&'static str, Operands, fn(&Args) -> Result<(), CliError>);
+
+/// Every command, in `--help` order.
+const COMMANDS: &[Command] = &[
+    Command("run", Operands::FileThenArgs, cmd_run),
+    Command("diversify", Operands::FileThenArgs, cmd_diversify),
+    Command("check", Operands::FileThenArgs, cmd_check),
+    Command("audit", Operands::OptionalFile, cmd_audit),
+    Command(
+        "symbolicate",
+        Operands::Exactly(&[
+            FILE,
+            ("<variant-id>", "variant id"),
+            ("<fault-addr>", "fault address"),
+        ]),
+        cmd_symbolicate,
+    ),
+    Command("gadgets", Operands::FileThenArgs, cmd_gadgets),
+    Command("disasm", Operands::Exactly(&[FILE]), cmd_disasm),
+    Command(
+        "report",
+        Operands::Exactly(&[("<metrics.json>", "metrics file")]),
+        cmd_report,
+    ),
+    Command("fuzz", Operands::Exactly(&[]), cmd_fuzz),
+    Command("bench", Operands::Exactly(&[]), cmd_bench),
+    Command(
+        "cache",
+        Operands::Exactly(&[("<stats|clear>", "cache action")]),
+        cmd_cache,
+    ),
+    Command("serve", Operands::Exactly(&[]), cmd_serve),
+    Command("fetch", Operands::OptionalFile, cmd_fetch),
+];
+
+/// Every flag, once, in usage-line order: its name, the placeholder
+/// for its value (`""` for a switch), and the commands that take it
+/// after their name (`""` for a global flag, which every command takes
+/// anywhere on the command line, before or after the command name).
+const FLAG_TABLE: &[(&str, &str, &str)] = &[
+    ("--workload", "LIST", "audit fetch"),
+    ("--versions", "N", "audit"),
+    ("--pnop", "SPEC", "diversify check gadgets audit fetch"),
+    ("--seed", "N", "diversify check gadgets fuzz audit fetch"),
+    ("--train", "LIST", "diversify check gadgets audit fetch"),
+    ("--shift", "", "diversify check audit fetch"),
+    ("--subst", "", "diversify check audit fetch"),
+    ("--regrand", "", "diversify check audit fetch"),
+    ("--validate", "", "diversify fetch"),
+    ("--func", "NAME", "disasm"),
+    ("--iters", "N", "fuzz"),
+    ("--transforms", "LIST", "fuzz"),
+    ("--variants", "K", "fuzz"),
+    ("--corpus", "DIR", "fuzz"),
+    ("--replay", "DIR", "fuzz"),
+    ("--addr", "HOST:PORT", "serve fetch"),
+    ("--queue", "N", "serve"),
+    ("--seed-start", "N", "serve"),
+    ("--json", "", "run diversify check fuzz fetch cache"),
+    ("--out", "FILE", "bench audit diversify fetch"),
+    ("--trace", "FILE", "run diversify check fuzz audit"),
+    ("--metrics", "FILE", "run diversify check fuzz audit"),
+    ("--cache-dir", "DIR", ""),
+    ("--threads", "N", ""),
+];
+
+/// Whether a flag scoped to `cmds` is taken at this point: a global one
+/// always, any other only after the name of a command it lists.
+fn takes(cmds: &str, cmd: Option<&Command>) -> bool {
+    cmds.is_empty() || cmd.is_some_and(|c| cmds.split(' ').any(|n| n == c.0))
+}
+
+/// A parsed command line.
+struct Args {
+    cmd: &'static Command,
+    operands: Vec<String>,
+    /// The integer program arguments after a [`Operands::FileThenArgs`]
+    /// source file.
+    run_args: Vec<i32>,
+    /// Every flag given, with its value taken verbatim.
+    flags: Vec<(&'static str, Option<String>)>,
+    /// `--threads`, checked while parsing since every command takes it.
     threads: Option<usize>,
 }
 
-impl Globals {
+/// Parses the command line against [`COMMANDS`] and [`FLAG_TABLE`] in
+/// one pass. The command is the first argument that is not a global
+/// flag; a flag's value is the next argument, whatever it looks like.
+/// `Ok(None)` asks for `--help`.
+fn parse(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut cmd: Option<&'static Command> = None;
+    let mut positionals = Vec::new();
+    let mut flags = Vec::new();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        match (cmd, FLAG_TABLE.iter().find(|f| f.0 == arg)) {
+            (_, Some(&(name, placeholder, cmds))) if takes(cmds, cmd) => {
+                let value = match placeholder {
+                    "" => None,
+                    _ => Some(it.next().ok_or(format!("{name} needs a value"))?.clone()),
+                };
+                flags.push((name, value));
+            }
+            (None, _) if matches!(arg.as_str(), "--help" | "-h" | "help") => return Ok(None),
+            (None, _) => match COMMANDS.iter().find(|c| c.0 == arg) {
+                Some(c) => cmd = Some(c),
+                None => return Err(format!("unknown command `{arg}` (try --help)")),
+            },
+            (Some(c), _) if arg.starts_with("--") => return Err(flag_error(c, arg)),
+            (Some(_), _) => positionals.push(arg.clone()),
+        }
+    }
+    let Some(cmd) = cmd else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        return Err(format!(
+            "usage: pgsd <{}> <file> …  (see --help)",
+            names.join("|")
+        ));
+    };
+
+    let (named, required): (&[(&str, &str)], usize) = match cmd.1 {
+        Operands::Exactly(ops) => (ops, ops.len()),
+        Operands::OptionalFile => (&[FILE], 0),
+        Operands::FileThenArgs => (&[FILE], 1),
+    };
+    let usage = usage_words(cmd).join(" ");
+    if positionals.len() < required {
+        let what = named[positionals.len()].1;
+        return Err(format!("missing {what}\nusage: {usage}"));
+    }
+    let rest = positionals.split_off(positionals.len().min(named.len()));
+    if let (Some(a), false) = (rest.first(), matches!(cmd.1, Operands::FileThenArgs)) {
+        let after = named.last().map(|op| format!(" after {}", op.0));
+        return Err(format!(
+            "unexpected argument `{a}` — `pgsd {}` takes no positional arguments{}\nusage: {usage}",
+            cmd.0,
+            after.unwrap_or_default()
+        ));
+    }
+    let run_args = rest
+        .iter()
+        .map(|a| a.parse().map_err(|_| format!("unexpected argument `{a}`")))
+        .collect::<Result<_, _>>()?;
+    let mut args = Args {
+        cmd,
+        operands: positionals,
+        run_args,
+        flags,
+        threads: None,
+    };
+    args.threads = args
+        .parsed("--threads", "threads")?
+        .map(|n: usize| n.max(1));
+    Ok(Some(args))
+}
+
+impl Args {
+    /// The value of flag `name` (the last one, if given twice).
+    fn value(&self, name: &str) -> Option<&str> {
+        self.given(name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.given(name).is_some()
+    }
+
+    fn given(&self, name: &str) -> Option<&(&'static str, Option<String>)> {
+        debug_assert!(
+            FLAG_TABLE.iter().any(|f| f.0 == name),
+            "`{name}` is not in FLAG_TABLE"
+        );
+        self.flags.iter().rev().find(|(f, _)| *f == name)
+    }
+
+    /// Flag `name`'s value parsed as a `T`; an unparsable value is the
+    /// error "bad {what}: …".
+    fn parsed<T: FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.value(name)
+            .map(|v| v.parse().map_err(|e| format!("bad {what}: {e}")))
+            .transpose()
+    }
+
+    /// The trimmed items of comma-list flag `name`; given but empty is
+    /// the error "{name} needs at least one {what}".
+    fn list(&self, name: &str, what: &str) -> Result<Vec<&str>, String> {
+        let Some(list) = self.value(name) else {
+            return Ok(Vec::new());
+        };
+        let items: Vec<&str> = list
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect();
+        if items.is_empty() {
+            return Err(format!("{name} needs at least one {what}"));
+        }
+        Ok(items)
+    }
+
+    /// The `--pnop` strategy, or the paper's headline default.
+    fn pnop(&self) -> Result<Strategy, String> {
+        self.value("--pnop")
+            .map_or_else(|| Ok(Strategy::default()), Strategy::parse)
+    }
+
+    fn train(&self) -> Result<Option<Vec<i32>>, String> {
+        self.value("--train").map(parse_ints).transpose()
+    }
+
     /// The artifact cache for this invocation: persistent when
     /// `--cache-dir` was given, otherwise in-memory for the process.
     fn open_cache(&self) -> Result<Cache, String> {
-        match &self.cache_dir {
-            Some(dir) => Cache::persistent(dir)
-                .map_err(|e| format!("cannot open cache `{}`: {e}", dir.display())),
+        match self.value("--cache-dir") {
+            Some(dir) => Cache::persistent(Path::new(dir))
+                .map_err(|e| format!("cannot open cache `{dir}`: {e}")),
             None => Ok(Cache::in_memory()),
         }
     }
 }
 
-/// Pulls the global flags (`--cache-dir DIR`, `--threads N`) out of the
-/// argument list wherever they appear; everything else is passed
-/// through, in order, to the subcommand parsers. The value of any
-/// ordinary value-taking flag is skipped verbatim, so e.g. a `--train`
-/// list can never be mistaken for a global flag.
-fn split_globals(args: &[String]) -> Result<(Globals, Vec<String>), String> {
-    let mut globals = Globals {
-        cache_dir: None,
-        threads: None,
-    };
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                let dir = it.next().ok_or("--cache-dir needs a value")?;
-                globals.cache_dir = Some(PathBuf::from(dir));
-            }
-            "--threads" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad threads: {e}"))?;
-                globals.threads = Some(n.max(1));
-            }
-            a => {
-                rest.push(arg.clone());
-                if FLAGS
-                    .iter()
-                    .any(|(f, takes_value, _)| *f == a && *takes_value)
-                {
-                    if let Some(v) = it.next() {
-                        rest.push(v.clone());
-                    }
-                }
-            }
+/// A command's usage as words: name, operands, the flags only it takes
+/// (globals are listed once, in the help prose), then `[args…]`.
+fn usage_words(cmd: &Command) -> Vec<String> {
+    let mut words = vec![format!("pgsd {}", cmd.0)];
+    match cmd.1 {
+        Operands::Exactly(ops) => words.extend(ops.iter().map(|(name, _)| name.to_string())),
+        Operands::OptionalFile => words.push(format!("[{}]", FILE.0)),
+        Operands::FileThenArgs => words.push(FILE.0.to_owned()),
+    }
+    for &(name, placeholder, cmds) in FLAG_TABLE {
+        if !cmds.is_empty() && takes(cmds, Some(cmd)) {
+            words.push(match placeholder {
+                "" => format!("[{name}]"),
+                _ => format!("[{name} {placeholder}]"),
+            });
         }
     }
-    Ok((globals, rest))
+    if matches!(cmd.1, Operands::FileThenArgs) {
+        words.push("[args…]".to_owned());
+    }
+    words
 }
 
-fn dispatch(globals: &Globals, args: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
-        return Err(
-            "usage: pgsd <run|diversify|check|audit|symbolicate|gadgets|disasm|report|fuzz|\
-             bench|cache|serve|fetch> <file> …  (see --help)"
-                .into(),
-        );
+/// Prints the usage of every command, wrapped with continuation lines
+/// indented under the first operand, then the prose in [`HELP`].
+fn print_help() {
+    println!("pgsd — profile-guided software diversity toolchain (CGO 2013 reproduction)\n");
+    for cmd in COMMANDS {
+        let words = usage_words(cmd);
+        let indent = " ".repeat(words[0].len() + 3);
+        let mut line = format!("  {}", words[0]);
+        for word in &words[1..] {
+            if line.chars().count() + 1 + word.chars().count() > 76 {
+                println!("{line}");
+                line = indent.clone();
+            } else {
+                line.push(' ');
+            }
+            line.push_str(word);
+        }
+        println!("{line}");
+    }
+    print!("\n{HELP}");
+}
+
+/// Classic Levenshtein distance, for "did you mean" suggestions.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.iter().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
+        }
+        prev = cur;
+    }
+    prev[b.len()]
+}
+
+/// The error for `flag`, which `cmd` does not take: where the flag does
+/// apply, or the nearest flag `cmd` takes; then `cmd`'s usage.
+fn flag_error(cmd: &Command, flag: &str) -> String {
+    let msg = match FLAG_TABLE.iter().find(|f| f.0 == flag) {
+        Some((_, _, cmds)) => format!(
+            "flag `{flag}` is not valid for `pgsd {}` (only for `pgsd {}`)",
+            cmd.0,
+            cmds.replace(' ', "`, `pgsd ")
+        ),
+        _ => {
+            let nearest = FLAG_TABLE
+                .iter()
+                .filter(|f| takes(f.2, Some(cmd)))
+                .map(|f| f.0)
+                .min_by_key(|f| edit_distance(flag, f))
+                .filter(|f| edit_distance(flag, f) <= 2);
+            match nearest {
+                Some(best) => format!("unknown flag `{flag}` — did you mean `{best}`?"),
+                None => format!("unknown flag `{flag}`"),
+            }
+        }
     };
-    if cmd == "--help" || cmd == "-h" || cmd == "help" {
-        print!("{HELP}");
-        return Ok(());
-    }
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "run" => cmd_run(rest, globals),
-        "diversify" => cmd_diversify(rest, globals),
-        "check" => cmd_check(rest, globals),
-        "audit" => cmd_audit(rest, globals),
-        "symbolicate" => cmd_symbolicate(rest, globals),
-        "gadgets" => Ok(cmd_gadgets(rest, globals)?),
-        "disasm" => Ok(cmd_disasm(rest, globals)?),
-        "report" => Ok(cmd_report(rest)?),
-        "fuzz" => cmd_fuzz(rest, globals),
-        "bench" => cmd_bench(rest, globals),
-        "cache" => Ok(cmd_cache(rest, globals)?),
-        "serve" => cmd_serve(rest, globals),
-        "fetch" => cmd_fetch(rest, globals),
-        other => Err(format!("unknown command `{other}` (try --help)").into()),
-    }
+    format!("{msg}\nusage: {}", usage_words(cmd).join(" "))
 }
 
 const HELP: &str = "\
-pgsd — profile-guided software diversity toolchain (CGO 2013 reproduction)
-
-  pgsd run <file.mc> [--json] [--trace FILE] [--metrics FILE] [args…]
-  pgsd diversify <file.mc> [--pnop SPEC] [--seed N] [--train LIST]
-                           [--shift] [--subst] [--regrand] [--validate]
-                           [--json] [--out FILE]
-                           [--trace FILE] [--metrics FILE] [args…]
-  pgsd check <file.mc> [--pnop SPEC] [--seed N] [--train LIST]
-                       [--shift] [--subst] [--regrand] [--json]
-                       [--trace FILE] [--metrics FILE]
-  pgsd audit <file.mc | --workload LIST> [--versions N] [--pnop SPEC]
-             [--seed N] [--train LIST] [--shift] [--subst] [--regrand]
-             [--out FILE] [--trace FILE] [--metrics FILE]
-  pgsd symbolicate <file.mc> <variant-id> <fault-addr>
-  pgsd gadgets <file.mc> [--pnop SPEC] [--seed N] [--train LIST]
-  pgsd disasm <file.mc> [--func NAME]
-  pgsd report <metrics.json>
-  pgsd fuzz [--iters N] [--seed N] [--transforms LIST] [--corpus DIR]
-            [--variants K] [--replay DIR] [--json]
-            [--trace FILE] [--metrics FILE]
-  pgsd bench [--out FILE]
-  pgsd cache <stats|clear> [--json]
-  pgsd serve [--addr HOST:PORT] [--queue N] [--seed-start N]
-  pgsd fetch <file.mc | --workload NAME> --addr HOST:PORT
-             [--pnop SPEC] [--seed N] [--train LIST] [--shift] [--subst]
-             [--regrand] [--validate] [--json] [--out FILE]
-
 Global flags, valid anywhere on the command line (before or after the
 subcommand):
 
@@ -334,272 +516,8 @@ to stdout with no other stdout output around it. Exit codes everywhere:
 0 success, 1 the checked property failed, 2 usage or I/O error.
 ";
 
-/// Every subcommand flag the parser understands: name, whether it takes
-/// a value, and the subcommands it applies to. The global flags
-/// (`--cache-dir`, `--threads`) are extracted before dispatch and are
-/// deliberately absent here.
-const FLAGS: &[(&str, bool, &[&str])] = &[
-    (
-        "--pnop",
-        true,
-        &["diversify", "check", "gadgets", "audit", "fetch"],
-    ),
-    (
-        "--seed",
-        true,
-        &["diversify", "check", "gadgets", "fuzz", "audit", "fetch"],
-    ),
-    (
-        "--train",
-        true,
-        &["diversify", "check", "gadgets", "audit", "fetch"],
-    ),
-    ("--shift", false, &["diversify", "check", "audit", "fetch"]),
-    ("--subst", false, &["diversify", "check", "audit", "fetch"]),
-    (
-        "--regrand",
-        false,
-        &["diversify", "check", "audit", "fetch"],
-    ),
-    ("--validate", false, &["diversify", "fetch"]),
-    (
-        "--json",
-        false,
-        &["run", "diversify", "check", "fuzz", "fetch"],
-    ),
-    (
-        "--trace",
-        true,
-        &["run", "diversify", "check", "fuzz", "audit"],
-    ),
-    (
-        "--metrics",
-        true,
-        &["run", "diversify", "check", "fuzz", "audit"],
-    ),
-    ("--func", true, &["disasm"]),
-    ("--iters", true, &["fuzz"]),
-    ("--transforms", true, &["fuzz"]),
-    ("--corpus", true, &["fuzz"]),
-    ("--variants", true, &["fuzz"]),
-    ("--replay", true, &["fuzz"]),
-    ("--out", true, &["bench", "audit", "diversify", "fetch"]),
-    ("--workload", true, &["audit", "fetch"]),
-    ("--versions", true, &["audit"]),
-    ("--addr", true, &["serve", "fetch"]),
-    ("--queue", true, &["serve"]),
-    ("--seed-start", true, &["serve"]),
-];
-
-fn allowed_flags(cmd: &str) -> Vec<&'static str> {
-    FLAGS
-        .iter()
-        .filter(|(_, _, cmds)| cmds.contains(&cmd))
-        .map(|(f, _, _)| *f)
-        .collect()
-}
-
-/// Classic Levenshtein distance, for "did you mean" suggestions.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
-
-fn flag_error(cmd: &str, flag: &str, allowed: &[&str]) -> String {
-    let mut msg = match FLAGS.iter().find(|(f, _, _)| *f == flag) {
-        Some((_, _, cmds)) => format!(
-            "flag `{flag}` is not valid for `pgsd {cmd}` (only for `pgsd {}`)",
-            cmds.join("`, `pgsd ")
-        ),
-        None => {
-            let mut m = format!("unknown flag `{flag}`");
-            if let Some(best) = allowed
-                .iter()
-                .copied()
-                .min_by_key(|f| edit_distance(flag, f))
-            {
-                if edit_distance(flag, best) <= 2 {
-                    m.push_str(&format!(" — did you mean `{best}`?"));
-                }
-            }
-            m
-        }
-    };
-    if allowed.is_empty() {
-        msg.push_str(&format!("\n`pgsd {cmd}` takes no flags"));
-    } else {
-        msg.push_str(&format!(
-            "\nvalid flags for `pgsd {cmd}`: {}",
-            allowed.join(", ")
-        ));
-    }
-    msg
-}
-
-struct Parsed {
-    source_name: String,
-    source: String,
-    run_args: Vec<i32>,
-    pnop: Strategy,
-    /// The raw `--pnop` spec, for passing through to a serve daemon.
-    pnop_spec: Option<String>,
-    seed: u64,
-    /// `Some` only when `--seed` was given (fetch: pin vs. let the
-    /// server assign).
-    seed_opt: Option<u64>,
-    train_args: Option<Vec<i32>>,
-    shift: bool,
-    subst: bool,
-    regrand: bool,
-    validate: bool,
-    json: bool,
-    workloads: Vec<String>,
-    versions: usize,
-    out: Option<String>,
-    func: Option<String>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    addr: Option<String>,
-    queue: Option<usize>,
-    seed_start: Option<u64>,
-}
-
-fn parse(cmd: &str, rest: &[String]) -> Result<Parsed, String> {
-    let allowed = allowed_flags(cmd);
-    // Every command here takes a source file, except `audit` and
-    // `fetch`, which may instead name workloads via `--workload`, and
-    // `serve`, which takes none.
-    let has_file = rest.first().is_some_and(|a| !a.starts_with("--"));
-    if !has_file && !matches!(cmd, "audit" | "fetch" | "serve") {
-        return Err("missing source file".into());
-    }
-    let (source_name, source, flags) = if has_file {
-        let path = rest[0].clone();
-        let source =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        (path, source, &rest[1..])
-    } else {
-        (String::new(), String::new(), rest)
-    };
-    let mut parsed = Parsed {
-        source_name,
-        source,
-        run_args: Vec::new(),
-        pnop: Strategy::range(0.0, 0.30),
-        pnop_spec: None,
-        seed: 1,
-        seed_opt: None,
-        train_args: None,
-        shift: false,
-        subst: false,
-        regrand: false,
-        validate: false,
-        json: false,
-        workloads: Vec::new(),
-        versions: 16,
-        out: None,
-        func: None,
-        trace: None,
-        metrics: None,
-        addr: None,
-        queue: None,
-        seed_start: None,
-    };
-    let mut it = flags.iter();
-    while let Some(arg) = it.next() {
-        let a = arg.as_str();
-        if a.starts_with("--") && !allowed.contains(&a) {
-            return Err(flag_error(cmd, a, &allowed));
-        }
-        match a {
-            "--pnop" => {
-                let spec = it.next().ok_or("--pnop needs a value")?;
-                parsed.pnop = parse_strategy(spec)?;
-                parsed.pnop_spec = Some(spec.clone());
-            }
-            "--seed" => {
-                parsed.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-                parsed.seed_opt = Some(parsed.seed);
-            }
-            "--train" => {
-                let list = it.next().ok_or("--train needs a value")?;
-                parsed.train_args = Some(parse_ints(list)?);
-            }
-            "--workload" => {
-                let list = it.next().ok_or("--workload needs a value")?;
-                parsed.workloads = list
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().to_owned())
-                    .collect();
-                if parsed.workloads.is_empty() {
-                    return Err("--workload needs at least one name".into());
-                }
-            }
-            "--versions" => {
-                parsed.versions = it
-                    .next()
-                    .ok_or("--versions needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad versions: {e}"))?;
-                if parsed.versions == 0 {
-                    return Err("--versions must be at least 1".into());
-                }
-            }
-            "--out" => parsed.out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--addr" => parsed.addr = Some(it.next().ok_or("--addr needs a value")?.clone()),
-            "--queue" => {
-                parsed.queue = Some(
-                    it.next()
-                        .ok_or("--queue needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad queue capacity: {e}"))?,
-                );
-            }
-            "--seed-start" => {
-                parsed.seed_start = Some(
-                    it.next()
-                        .ok_or("--seed-start needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad seed-start: {e}"))?,
-                );
-            }
-            "--func" => parsed.func = Some(it.next().ok_or("--func needs a value")?.clone()),
-            "--trace" => parsed.trace = Some(it.next().ok_or("--trace needs a value")?.clone()),
-            "--metrics" => {
-                parsed.metrics = Some(it.next().ok_or("--metrics needs a value")?.clone());
-            }
-            "--shift" => parsed.shift = true,
-            "--subst" => parsed.subst = true,
-            "--regrand" => parsed.regrand = true,
-            "--validate" => parsed.validate = true,
-            "--json" => parsed.json = true,
-            other => {
-                let v: i32 = other
-                    .parse()
-                    .map_err(|_| format!("unexpected argument `{other}`"))?;
-                parsed.run_args.push(v);
-            }
-        }
-    }
-    Ok(parsed)
-}
-
-fn parse_strategy(spec: &str) -> Result<Strategy, String> {
-    Strategy::parse(spec)
+fn read_source(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
 fn parse_ints(list: &str) -> Result<Vec<i32>, String> {
@@ -614,8 +532,8 @@ fn parse_ints(list: &str) -> Result<Vec<i32>, String> {
 }
 
 /// Arms a collector when `--trace` or `--metrics` was requested.
-fn telemetry_for(p: &Parsed) -> Telemetry {
-    if p.trace.is_some() || p.metrics.is_some() {
+fn telemetry_for(a: &Args) -> Telemetry {
+    if a.value("--trace").is_some() || a.value("--metrics").is_some() {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
@@ -624,13 +542,13 @@ fn telemetry_for(p: &Parsed) -> Telemetry {
 
 /// Writes the requested trace / metrics files (also on failed runs, so a
 /// crashing program still leaves its telemetry behind).
-fn write_telemetry(p: &Parsed, tel: &Telemetry) -> Result<(), String> {
-    if let Some(path) = &p.trace {
+fn write_telemetry(a: &Args, tel: &Telemetry) -> Result<(), String> {
+    if let Some(path) = a.value("--trace") {
         std::fs::write(path, tel.trace_json())
             .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
         eprintln!("trace written to {path}");
     }
-    if let Some(path) = &p.metrics {
+    if let Some(path) = a.value("--metrics") {
         std::fs::write(path, tel.metrics_json())
             .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
         eprintln!("metrics written to {path}");
@@ -638,22 +556,36 @@ fn write_telemetry(p: &Parsed, tel: &Telemetry) -> Result<(), String> {
     Ok(())
 }
 
-/// A per-invocation [`Session`] over the parsed source: telemetry armed
-/// per `--trace`/`--metrics`, cache per `--cache-dir`, workers per
+/// A per-invocation [`Session`] over one source: telemetry armed per
+/// `--trace`/`--metrics`, cache per `--cache-dir`, workers per
 /// `--threads`.
-fn session_for(p: &Parsed, g: &Globals, tel: &Telemetry) -> Result<Session, String> {
-    let mut session = Session::from_source(&p.source_name, &p.source)
+fn session_for(a: &Args, name: &str, source: &str, tel: &Telemetry) -> Result<Session, String> {
+    let mut session = Session::from_source(name, source)
         .telemetry(tel.clone())
-        .cache(g.open_cache()?);
-    if let Some(threads) = g.threads {
+        .cache(a.open_cache()?);
+    if let Some(threads) = a.threads {
         session = session.threads(threads);
     }
     Ok(session)
 }
 
-/// Records end-of-run cache occupancy, complementing the `cache.*`
-/// hit/miss counters the operations record as they go.
-fn record_cache_gauges(session: &Session, tel: &Telemetry) {
+/// The session over the command's `<file.mc>` operand.
+fn file_session<'a>(a: &'a Args, tel: &Telemetry) -> Result<(&'a str, Session), String> {
+    let file = &a.operands[0];
+    Ok((file, session_for(a, file, &read_source(file)?, tel)?))
+}
+
+/// Runs a command's `body`, then records end-of-run cache occupancy
+/// (complementing the `cache.*` hit/miss counters the operations record
+/// as they go) and writes the requested telemetry files — also when
+/// `body` failed, so a crashing program still leaves its telemetry.
+fn traced(
+    a: &Args,
+    session: &Session,
+    tel: &Telemetry,
+    body: impl FnOnce() -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let result = body();
     let stats = session.cache_handle().stats();
     tel.set_gauge("cache.mem_entries", stats.mem_entries as f64);
     tel.set_gauge("cache.mem_bytes", stats.mem_bytes as f64);
@@ -661,6 +593,8 @@ fn record_cache_gauges(session: &Session, tel: &Telemetry) {
         tel.set_gauge("cache.disk_entries", stats.disk_entries as f64);
         tel.set_gauge("cache.disk_bytes", stats.disk_bytes as f64);
     }
+    write_telemetry(a, tel)?;
+    result
 }
 
 /// Runs `image`, echoing its printed values to stdout. A normal exit
@@ -712,19 +646,18 @@ fn run_json(outcome: &pgsd::core::RunOutcome) -> String {
     )
 }
 
-fn cmd_run(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse("run", rest)?;
-    let tel = telemetry_for(&p);
-    let session = session_for(&p, g, &tel)?;
-    let result = (|| -> Result<(), CliError> {
+fn cmd_run(a: &Args) -> Result<(), CliError> {
+    let tel = telemetry_for(a);
+    let (file, session) = file_session(a, &tel)?;
+    traced(a, &session, &tel, || {
         let image = session.build().map_err(|e| e.to_string())?;
-        if p.json {
-            let outcome = session.run(&image, &Input::args(&p.run_args), DEFAULT_GAS, "run");
+        if a.switch("--json") {
+            let outcome = session.run(&image, &Input::args(&a.run_args), DEFAULT_GAS, "run");
             let ok = outcome.status().is_some();
             println!(
                 "{}",
                 Envelope::new("pgsd-run", if ok { "ok" } else { "abnormal" })
-                    .str("source", &p.source_name)
+                    .str("source", file)
                     .u64("text_bytes", image.text.len() as u64)
                     .u64("functions", image.funcs.len() as u64)
                     .raw("run", run_json(&outcome))
@@ -740,82 +673,85 @@ fn cmd_run(rest: &[String], g: &Globals) -> Result<(), CliError> {
             };
         }
         println!(
-            "compiled `{}`: {} bytes of text, {} functions",
-            p.source_name,
+            "compiled `{file}`: {} bytes of text, {} functions",
             image.text.len(),
             image.funcs.len()
         );
-        report_run(&session, &image, &p.run_args, "run").map(|_| ())
-    })();
-    record_cache_gauges(&session, &tel);
-    write_telemetry(&p, &tel)?;
-    result
+        report_run(&session, &image, &a.run_args, "run").map(|_| ())
+    })
 }
 
-fn config_of(p: &Parsed, tel: &Telemetry) -> BuildConfig {
-    BuildConfig {
-        strategy: Some(p.pnop),
-        with_xchg: false,
-        shift_max_pad: if p.shift { Some(24) } else { None },
-        substitution: if p.subst { Some(p.pnop) } else { None },
-        reg_randomize: p.regrand,
-        seed: p.seed,
-        validate: p.validate,
-        telemetry: tel.clone(),
-    }
+/// What the diversity flags ask for: the `--pnop` strategy, the build
+/// (`--seed`, default 1, and whichever of `--shift`, `--subst`,
+/// `--regrand` and `--validate` the command takes and was given), and
+/// the training input (`--train`, else the program arguments).
+fn requested(a: &Args, tel: &Telemetry) -> Result<(Strategy, BuildConfig, Vec<i32>), String> {
+    let strategy = a.pnop()?;
+    let config = BuildConfig::requested(
+        strategy,
+        a.parsed("--seed", "seed")?.unwrap_or(1),
+        a.switch("--shift"),
+        a.switch("--subst"),
+        a.switch("--regrand"),
+        a.switch("--validate"),
+    );
+    let train = a.train()?.unwrap_or_else(|| a.run_args.clone());
+    Ok((strategy, config.with_telemetry(tel.clone()), train))
 }
 
-/// Trains (when the strategy or substitution needs a profile) and then
-/// builds the diversified variant through the session, so a warm cache
-/// serves the whole seed-independent prefix.
-fn build_diversified(p: &Parsed, session: &Session, tel: &Telemetry) -> Result<Image, String> {
-    if p.pnop.needs_profile() || p.subst {
-        let t_args = p.train_args.clone().unwrap_or_else(|| p.run_args.clone());
+/// Trains on `train` when the build needs a profile, then builds the
+/// diversified variant through the session, so a warm cache serves the
+/// whole seed-independent prefix.
+fn build_diversified(
+    session: &Session,
+    config: &BuildConfig,
+    train: &[i32],
+) -> Result<Image, String> {
+    if config.needs_training() {
         session
-            .train(&[Input::args(&t_args)], DEFAULT_GAS)
+            .train(&[Input::args(train)], DEFAULT_GAS)
             .map_err(|e| format!("training failed: {e}"))?;
     }
-    session
-        .build_with(&config_of(p, tel))
-        .map_err(|e| e.to_string())
+    session.build_with(config).map_err(|e| e.to_string())
 }
 
-fn cmd_diversify(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse("diversify", rest)?;
-    let tel = telemetry_for(&p);
+fn cmd_diversify(a: &Args) -> Result<(), CliError> {
+    let tel = telemetry_for(a);
+    let (strategy, config, train) = requested(a, &tel)?;
     // Every diversified build is recorded in the cache's provenance
     // ledger, so crashes from the shipped variant stay symbolicatable
     // (`pgsd symbolicate`); with `--cache-dir` the record persists.
-    let session = session_for(&p, g, &tel)?.ledger(true);
-    let result = (|| -> Result<(), CliError> {
+    let (file, session) = file_session(a, &tel)?;
+    let session = session.ledger(true);
+    traced(a, &session, &tel, || {
         let baseline = session.build().map_err(|e| e.to_string())?;
-        let image = build_diversified(&p, &session, &tel)?;
-        if let Some(out) = &p.out {
+        let image = build_diversified(&session, &config, &train)?;
+        if let Some(out) = a.value("--out") {
             let artifact = pgsd::cache::artifact::encode_image(&image);
             std::fs::write(out, &artifact)
                 .map_err(|e| format!("cannot write artifact `{out}`: {e}"))?;
             eprintln!("image artifact written to {out} ({} bytes)", artifact.len());
         }
-        if p.json {
+        if a.switch("--json") {
             let base = session.run(
                 &baseline,
-                &Input::args(&p.run_args),
+                &Input::args(&a.run_args),
                 DEFAULT_GAS,
                 "baseline",
             );
             let div = session.run(
                 &image,
-                &Input::args(&p.run_args),
+                &Input::args(&a.run_args),
                 DEFAULT_GAS,
                 "diversified",
             );
             let ok = base.status().is_some() && div.status().is_some();
             let mut env = Envelope::new("pgsd-diversify", if ok { "ok" } else { "abnormal" })
-                .str("source", &p.source_name)
+                .str("source", file)
                 .str("variant_id", &pgsd::core::variant_id(&image))
-                .u64("seed", p.seed)
-                .str("strategy", &p.pnop.to_string())
-                .str("transforms", &transform_label(&p))
+                .u64("seed", config.seed)
+                .str("strategy", &strategy.to_string())
+                .str("transforms", &transforms_label(&config.transforms()))
                 .u64("baseline_text_bytes", baseline.text.len() as u64)
                 .u64("text_bytes", image.text.len() as u64)
                 .raw("baseline", run_json(&base))
@@ -833,68 +769,46 @@ fn cmd_diversify(rest: &[String], g: &Globals) -> Result<(), CliError> {
             };
         }
         println!(
-            "diversified `{}` with {} (seed {}): text {} → {} bytes",
-            p.source_name,
-            p.pnop,
-            p.seed,
+            "diversified `{file}` with {strategy} (seed {}): text {} → {} bytes",
+            config.seed,
             baseline.text.len(),
             image.text.len()
         );
         println!("variant id: {}", pgsd::core::variant_id(&image));
         println!("— baseline:");
-        let base_cycles = report_run(&session, &baseline, &p.run_args, "baseline")?;
+        let base_cycles = report_run(&session, &baseline, &a.run_args, "baseline")?;
         println!("— diversified:");
-        let div_cycles = report_run(&session, &image, &p.run_args, "diversified")?;
+        let div_cycles = report_run(&session, &image, &a.run_args, "diversified")?;
         if base_cycles > 0 {
             let overhead = (div_cycles as f64 / base_cycles as f64 - 1.0) * 100.0;
             tel.set_gauge("run.overhead_pct", overhead);
             println!("overhead: {overhead:+.2}%");
         }
         Ok(())
-    })();
-    record_cache_gauges(&session, &tel);
-    write_telemetry(&p, &tel)?;
-    result
+    })
 }
 
-/// Stable `+`-joined transform-set label for the parsed flags, matching
-/// the provenance ledger's labels (NOP insertion is always on).
-fn transform_label(p: &Parsed) -> String {
-    let mut parts = vec!["nop"];
-    if p.subst {
-        parts.push("subst");
-    }
-    if p.shift {
-        parts.push("shift");
-    }
-    if p.regrand {
-        parts.push("regrand");
-    }
-    parts.join("+")
-}
-
-fn cmd_check(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let mut p = parse("check", rest)?;
-    // The checker runs here with its report printed, not inside `build`.
-    p.validate = false;
-    let tel = telemetry_for(&p);
-    let session = session_for(&p, g, &tel)?;
-    let result = (|| -> Result<(), CliError> {
+fn cmd_check(a: &Args) -> Result<(), CliError> {
+    let tel = telemetry_for(a);
+    // `check` takes no `--validate`: the checker runs here with its
+    // report printed, not inside the build.
+    let (_, config, train) = requested(a, &tel)?;
+    let json = a.switch("--json");
+    let (file, session) = file_session(a, &tel)?;
+    traced(a, &session, &tel, || {
         let baseline = session.build().map_err(|e| e.to_string())?;
-        let variant = build_diversified(&p, &session, &tel)?;
-        let transforms = config_of(&p, &tel).transforms();
+        let variant = build_diversified(&session, &config, &train)?;
         let _span = tel.span("validate");
-        match check_images(&baseline, &variant, &transforms) {
+        match check_images(&baseline, &variant, &config.transforms()) {
             Ok(report) => {
                 tel.add("validate.passed", 1);
-                if p.json {
+                if json {
                     println!("{}", check_verdict_json("pass", Some(&report), &[]));
                 } else {
                     println!(
-                        "`{}` seed {}: OK — {} functions, {} instructions matched, \
+                        "`{file}` seed {}: OK — {} functions, {} instructions matched, \
                          {} inserted NOPs, {} substitutions, {} shift jumps verified",
-                        p.source_name,
-                        p.seed,
+                        config.seed,
                         report.functions,
                         report.matched,
                         report.inserted_nops,
@@ -908,7 +822,7 @@ fn cmd_check(rest: &[String], g: &Globals) -> Result<(), CliError> {
                 tel.add("validate.failed", 1);
                 tel.add("validate.findings", diags.len() as u64);
                 sort_findings(&mut diags);
-                if p.json {
+                if json {
                     println!("{}", check_verdict_json("fail", None, &diags));
                 } else {
                     for d in &diags {
@@ -921,10 +835,7 @@ fn cmd_check(rest: &[String], g: &Globals) -> Result<(), CliError> {
                 )))
             }
         }
-    })();
-    record_cache_gauges(&session, &tel);
-    write_telemetry(&p, &tel)?;
-    result
+    })
 }
 
 /// The `pgsd check --json` verdict document: the shared envelope with
@@ -955,17 +866,9 @@ fn check_verdict_json(
 /// baseline instruction through the cache's provenance ledger. Prints
 /// one deterministic JSON document; exit 0 on a hit, 1 when the variant
 /// is unknown or the address unmapped, 2 on usage or I/O errors.
-fn cmd_symbolicate(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let [file, vid, addr] = rest else {
-        return Err(
-            "usage: pgsd symbolicate <file.mc> <variant-id> <fault-addr> \
-                    [--cache-dir DIR]"
-                .into(),
-        );
-    };
-    let source = std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
-    let fault_addr = parse_addr(addr)?;
-    let session = Session::from_source(file, &source).cache(g.open_cache()?);
+fn cmd_symbolicate(a: &Args) -> Result<(), CliError> {
+    let (vid, fault_addr) = (&a.operands[1], parse_addr(&a.operands[2])?);
+    let (_, session) = file_session(a, &Telemetry::disabled())?;
     let sym = session
         .symbolicate(vid, fault_addr)
         .map_err(|e| e.to_string())?;
@@ -1007,51 +910,42 @@ fn parse_addr(s: &str) -> Result<u32, String> {
 /// `pgsd audit` — build a diversified population per target and run the
 /// whole-image static audit (CFG recovery, abstract interpretation,
 /// gadget reachability) over every variant.
-fn cmd_audit(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse("audit", rest)?;
-    if !p.run_args.is_empty() {
-        return Err("`pgsd audit` takes no program arguments".into());
+fn cmd_audit(a: &Args) -> Result<(), CliError> {
+    let workloads = a.list("--workload", "name")?;
+    let versions = a.parsed("--versions", "versions")?.unwrap_or(16);
+    if versions == 0 {
+        return Err("--versions must be at least 1".into());
     }
-    if p.source.is_empty() && p.workloads.is_empty() {
-        return Err("`pgsd audit` needs a source file or `--workload LIST`".into());
-    }
+    let tel = telemetry_for(a);
+    let (strategy, config, _) = requested(a, &tel)?;
+    let train = a.train()?;
     // Targets: (name, source, training inputs). An explicit `--train`
     // list overrides a workload's own train set.
     let mut targets: Vec<(String, String, Vec<Input>)> = Vec::new();
-    if !p.source_name.is_empty() {
-        let train = p
-            .train_args
-            .as_deref()
-            .map(|a| vec![Input::args(a)])
-            .unwrap_or_default();
-        targets.push((p.source_name.clone(), p.source.clone(), train));
+    if let Some(file) = a.operands.first() {
+        let inputs = train.as_deref().map(|t| vec![Input::args(t)]);
+        targets.push((file.clone(), read_source(file)?, inputs.unwrap_or_default()));
     }
-    for name in &p.workloads {
+    if targets.is_empty() && workloads.is_empty() {
+        return Err("`pgsd audit` needs a source file or `--workload LIST`".into());
+    }
+    for name in workloads {
         let w = pgsd::workloads::by_name(name)
             .ok_or_else(|| format!("unknown workload `{name}` (e.g. 470.lbm, 401.bzip2)"))?;
-        let train = p
-            .train_args
+        let inputs = train
             .as_deref()
-            .map_or_else(|| w.train.clone(), |a| vec![Input::args(a)]);
-        targets.push((w.name.to_owned(), w.source, train));
+            .map_or_else(|| w.train.clone(), |t| vec![Input::args(t)]);
+        targets.push((w.name.to_owned(), w.source, inputs));
     }
 
-    let tel = telemetry_for(&p);
     let mut outcomes = Vec::with_capacity(targets.len());
     let result = (|| -> Result<(), CliError> {
         for (name, source, train) in &targets {
-            let mut session = Session::from_source(name, source)
-                .telemetry(tel.clone())
-                .cache(g.open_cache()?)
-                .config(config_of(&p, &tel));
-            if let Some(threads) = g.threads {
-                session = session.threads(threads);
-            }
-            if p.pnop.needs_profile() || p.subst {
+            let session = session_for(a, name, source, &tel)?.config(config.clone());
+            if config.needs_training() {
                 if train.is_empty() {
                     return Err(format!(
-                        "strategy {} needs a profile: pass `--train LIST` for `{name}`",
-                        p.pnop
+                        "strategy {strategy} needs a profile: pass `--train LIST` for `{name}`"
                     )
                     .into());
                 }
@@ -1059,7 +953,7 @@ fn cmd_audit(rest: &[String], g: &Globals) -> Result<(), CliError> {
                     .train(train, DEFAULT_GAS)
                     .map_err(|e| format!("training `{name}` failed: {e}"))?;
             }
-            let outcome = session.audit(p.versions).map_err(|e| e.to_string())?;
+            let outcome = session.audit(versions).map_err(|e| e.to_string())?;
             let c = &outcome.survivors.counts;
             println!(
                 "`{name}`: {} variants (seeds {}..{}), baseline {} gadgets",
@@ -1089,10 +983,10 @@ fn cmd_audit(rest: &[String], g: &Globals) -> Result<(), CliError> {
         }
         Ok(())
     })();
-    write_telemetry(&p, &tel)?;
+    write_telemetry(a, &tel)?;
     result?;
 
-    if let Some(out) = &p.out {
+    if let Some(out) = a.value("--out") {
         let body: Vec<String> = outcomes.iter().map(|o| o.to_json()).collect();
         let doc = format!(
             "{{\"schema_version\":{},\"tool\":\"pgsd-audit\",\"targets\":[{}]}}\n",
@@ -1113,40 +1007,36 @@ fn cmd_audit(rest: &[String], g: &Globals) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gadgets(rest: &[String], g: &Globals) -> Result<(), String> {
-    let p = parse("gadgets", rest)?;
+fn cmd_gadgets(a: &Args) -> Result<(), CliError> {
     let tel = Telemetry::disabled();
-    let session = session_for(&p, g, &tel)?;
+    let (strategy, config, train) = requested(a, &tel)?;
+    let (file, session) = file_session(a, &tel)?;
     let baseline = session.build().map_err(|e| e.to_string())?;
     let cfg = ScanConfig::default();
     let gadgets = find_gadgets(&baseline.text, &cfg);
     println!(
-        "`{}`: {} gadgets in {} bytes of text",
-        p.source_name,
+        "`{file}`: {} gadgets in {} bytes of text",
         gadgets.len(),
         baseline.text.len()
     );
-    let image = build_diversified(&p, &session, &tel)?;
+    let image = build_diversified(&session, &config, &train)?;
     let rep = survivor(&baseline.text, &image.text, &NopTable::new(), &cfg);
     println!(
-        "after diversification ({}, seed {}): {} survive ({:.2}%)",
-        p.pnop,
-        p.seed,
+        "after diversification ({strategy}, seed {}): {} survive ({:.2}%)",
+        config.seed,
         rep.count(),
         100.0 * rep.surviving_fraction()
     );
     Ok(())
 }
 
-fn cmd_disasm(rest: &[String], g: &Globals) -> Result<(), String> {
-    let p = parse("disasm", rest)?;
-    let session = session_for(&p, g, &Telemetry::disabled())?;
+fn cmd_disasm(a: &Args) -> Result<(), CliError> {
+    let (_, session) = file_session(a, &Telemetry::disabled())?;
     let image = session.build().map_err(|e| e.to_string())?;
+    let filter = a.value("--func");
     for f in &image.funcs {
-        if let Some(filter) = &p.func {
-            if &f.name != filter {
-                continue;
-            }
+        if filter.is_some_and(|name| f.name != name) {
+            continue;
         }
         println!(
             "\n{}:  ; {:#010x}..{:#010x}{}",
@@ -1175,7 +1065,7 @@ fn cmd_disasm(rest: &[String], g: &Globals) -> Result<(), String> {
                     );
                     off += d.len;
                 }
-                Err(e) => return Err(format!("disassembly failed at {off:#x}: {e}")),
+                Err(e) => return Err(format!("disassembly failed at {off:#x}: {e}").into()),
             }
         }
     }
@@ -1184,22 +1074,10 @@ fn cmd_disasm(rest: &[String], g: &Globals) -> Result<(), String> {
 
 /// `pgsd cache stats|clear` — inspect or empty the persistent store.
 /// The directory is `--cache-dir` when given, else `.pgsd-cache`.
-fn cmd_cache(rest: &[String], g: &Globals) -> Result<(), String> {
-    let dir = g
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(".pgsd-cache"));
-    let usage = "usage: pgsd cache <stats|clear> [--json] [--cache-dir DIR]";
-    let mut json = false;
-    let mut action: Option<&str> = None;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            a if action.is_none() && !a.starts_with("--") => action = Some(a),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let action = action.ok_or(usage)?;
+fn cmd_cache(a: &Args) -> Result<(), CliError> {
+    let dir = PathBuf::from(a.value("--cache-dir").unwrap_or(".pgsd-cache"));
+    let action = a.operands[0].as_str();
+    let json = a.switch("--json");
     if json && action != "stats" {
         return Err("--json only applies to `pgsd cache stats`".into());
     }
@@ -1247,78 +1125,39 @@ fn cmd_cache(rest: &[String], g: &Globals) -> Result<(), String> {
             println!("cache at {}: removed {} file(s)", dir.display(), removed);
             Ok(())
         }
-        other => Err(format!(
-            "unknown cache action `{other}` (expected `stats` or `clear`)"
-        )),
+        other => {
+            Err(format!("unknown cache action `{other}` (expected `stats` or `clear`)").into())
+        }
     }
 }
 
-fn cmd_fuzz(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let allowed = allowed_flags("fuzz");
-    let mut config = FuzzConfig::default();
-    if let Some(threads) = g.threads {
-        config.threads = threads;
+fn cmd_fuzz(a: &Args) -> Result<(), CliError> {
+    let defaults = FuzzConfig::default();
+    let mut config = FuzzConfig {
+        iters: a.parsed("--iters", "iters")?.unwrap_or(defaults.iters),
+        seed: a.parsed("--seed", "seed")?.unwrap_or(defaults.seed),
+        variants_per_set: a
+            .parsed("--variants", "variants")?
+            .unwrap_or(defaults.variants_per_set),
+        threads: a.threads.unwrap_or(defaults.threads),
+        ..defaults
+    };
+    let transforms = a.list("--transforms", "of nop,subst,shift,combo")?;
+    if !transforms.is_empty() {
+        config.transforms = transforms
+            .into_iter()
+            .map(|s| {
+                TransformSet::parse(s).ok_or_else(|| {
+                    format!("bad transform `{s}` (expected nop, subst, shift or combo)")
+                })
+            })
+            .collect::<Result<_, _>>()?;
     }
-    let mut corpus = String::from("corpus");
-    let mut replay_dir: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut json = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let a = arg.as_str();
-        if !a.starts_with("--") {
-            return Err(format!(
-                "unexpected argument `{a}` — `pgsd fuzz` takes no positional arguments"
-            )
-            .into());
-        }
-        if !allowed.contains(&a) {
-            return Err(flag_error("fuzz", a, &allowed).into());
-        }
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a {
-            "--iters" => {
-                config.iters = value(a)?.parse().map_err(|e| format!("bad iters: {e}"))?;
-            }
-            "--seed" => {
-                config.seed = value(a)?.parse().map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--variants" => {
-                config.variants_per_set = value(a)?
-                    .parse()
-                    .map_err(|e| format!("bad variants: {e}"))?;
-            }
-            "--transforms" => {
-                let list = value(a)?;
-                config.transforms = list
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| {
-                        TransformSet::parse(s.trim()).ok_or_else(|| {
-                            format!("bad transform `{s}` (expected nop, subst, shift or combo)")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                if config.transforms.is_empty() {
-                    return Err("--transforms needs at least one of nop,subst,shift,combo".into());
-                }
-            }
-            "--corpus" => corpus = value(a)?,
-            "--replay" => replay_dir = Some(value(a)?),
-            "--trace" => trace = Some(value(a)?),
-            "--metrics" => metrics = Some(value(a)?),
-            "--json" => json = true,
-            _ => unreachable!("flag table and match arms out of sync"),
-        }
-    }
+    let corpus = a.value("--corpus").unwrap_or("corpus");
+    let json = a.switch("--json");
 
-    if let Some(dir) = replay_dir {
-        let report = replay(Path::new(&dir))?;
+    if let Some(dir) = a.value("--replay") {
+        let report = replay(Path::new(dir))?;
         if json {
             println!(
                 "{}",
@@ -1355,22 +1194,9 @@ fn cmd_fuzz(rest: &[String], g: &Globals) -> Result<(), CliError> {
         };
     }
 
-    let tel = if trace.is_some() || metrics.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let result = fuzz(&config, Some(Path::new(&corpus)), &tel);
-    if let Some(path) = &trace {
-        std::fs::write(path, tel.trace_json())
-            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-        eprintln!("trace written to {path}");
-    }
-    if let Some(path) = &metrics {
-        std::fs::write(path, tel.metrics_json())
-            .map_err(|e| format!("cannot write metrics `{path}`: {e}"))?;
-        eprintln!("metrics written to {path}");
-    }
+    let tel = telemetry_for(a);
+    let result = fuzz(&config, Some(Path::new(corpus)), &tel);
+    write_telemetry(a, &tel)?;
     let report = result?;
     let clean = report.findings.is_empty()
         && report.divergences == 0
@@ -1431,32 +1257,9 @@ fn cmd_fuzz(rest: &[String], g: &Globals) -> Result<(), CliError> {
     }
 }
 
-fn cmd_bench(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let allowed = allowed_flags("bench");
-    let mut out = String::from("BENCH_pgsd.json");
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let a = arg.as_str();
-        if !a.starts_with("--") {
-            return Err(format!(
-                "unexpected argument `{a}` — `pgsd bench` takes no positional arguments"
-            )
-            .into());
-        }
-        if !allowed.contains(&a) {
-            return Err(flag_error("bench", a, &allowed).into());
-        }
-        match a {
-            "--out" => {
-                out = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| format!("{a} needs a value"))?;
-            }
-            _ => unreachable!("flag table and match arms out of sync"),
-        }
-    }
-    let threads = pgsd::exec::resolve_threads(g.threads);
+fn cmd_bench(a: &Args) -> Result<(), CliError> {
+    let out = a.value("--out").unwrap_or("BENCH_pgsd.json");
+    let threads = pgsd::exec::resolve_threads(a.threads);
 
     eprintln!(
         "bench slice: {} × {} paper configs × {} seeds, threads 1 then {threads}, \
@@ -1599,32 +1402,28 @@ fn cmd_bench(rest: &[String], g: &Globals) -> Result<(), CliError> {
 
 /// `pgsd serve` — run the variant-distribution daemon until a signal or
 /// a protocol `shutdown` request drains it.
-fn cmd_serve(rest: &[String], g: &Globals) -> Result<(), CliError> {
-    let p = parse("serve", rest)?;
-    if !p.run_args.is_empty() {
-        return Err("`pgsd serve` takes no positional arguments".into());
-    }
-    let addr = p.addr.clone().unwrap_or_else(|| "127.0.0.1:7340".into());
-    let mut config = ServeConfig {
-        workers: g.threads,
-        cache: g.open_cache()?,
-        ..ServeConfig::default()
+fn cmd_serve(a: &Args) -> Result<(), CliError> {
+    let addr = a.value("--addr").unwrap_or("127.0.0.1:7340");
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        queue_capacity: a
+            .parsed("--queue", "queue capacity")?
+            .unwrap_or(defaults.queue_capacity),
+        seed_start: a
+            .parsed("--seed-start", "seed-start")?
+            .unwrap_or(defaults.seed_start),
+        workers: a.threads,
+        cache: a.open_cache()?,
+        ..defaults
     };
-    if let Some(queue) = p.queue {
-        config.queue_capacity = queue;
-    }
-    if let Some(start) = p.seed_start {
-        config.seed_start = start;
-    }
-    let workers = pgsd::exec::resolve_threads(config.workers);
-    let handle = serve(&addr, config).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
-    println!(
-        "pgsd serve: listening on {} ({} workers, queue {}, seeds from {})",
-        handle.addr(),
-        workers,
-        p.queue.unwrap_or(32),
-        p.seed_start.unwrap_or(1),
+    let settings = format!(
+        "{} workers, queue {}, seeds from {}",
+        pgsd::exec::resolve_threads(config.workers),
+        config.queue_capacity,
+        config.seed_start
     );
+    let handle = serve(addr, config).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
+    println!("pgsd serve: listening on {} ({settings})", handle.addr());
     install_signal_handlers(&handle);
     handle.join();
     eprintln!("pgsd serve: drained, exiting");
@@ -1632,41 +1431,44 @@ fn cmd_serve(rest: &[String], g: &Globals) -> Result<(), CliError> {
 }
 
 /// `pgsd fetch` — request one variant from a running daemon.
-fn cmd_fetch(rest: &[String], _g: &Globals) -> Result<(), CliError> {
-    let p = parse("fetch", rest)?;
-    if !p.run_args.is_empty() {
-        return Err("`pgsd fetch` takes no positional arguments".into());
-    }
-    let Some(addr) = p.addr.clone() else {
+fn cmd_fetch(a: &Args) -> Result<(), CliError> {
+    let file = a.operands.first();
+    let source = file.map(|f| read_source(f)).transpose()?;
+    let workloads = a.list("--workload", "name")?;
+    // The daemon parses the spec itself; checking it here turns a typo
+    // into a usage error before any connection is made.
+    a.pnop()?;
+    let (seed, train) = (a.parsed("--seed", "seed")?, a.train()?);
+    let Some(addr) = a.value("--addr") else {
         return Err("`pgsd fetch` needs `--addr HOST:PORT` (a running `pgsd serve`)".into());
     };
-    let target = match (p.source_name.is_empty(), p.workloads.as_slice()) {
-        (false, []) => Target::Source {
-            name: p.source_name.clone(),
-            text: p.source.clone(),
+    let target = match (file.zip(source), workloads.as_slice()) {
+        (Some((name, text)), []) => Target::Source {
+            name: name.clone(),
+            text,
         },
-        (true, [w]) => Target::Workload(w.clone()),
-        (true, []) => {
+        (None, [w]) => Target::Workload((*w).to_owned()),
+        (None, []) => {
             return Err("`pgsd fetch` needs a source file or `--workload NAME`".into());
         }
-        (false, _) => {
+        (Some(_), _) => {
             return Err("`pgsd fetch` takes a source file or `--workload`, not both".into());
         }
-        (true, _) => {
+        (None, _) => {
             return Err("`pgsd fetch` takes exactly one `--workload` name".into());
         }
     };
     let req = DiversifyRequest {
         target,
-        pnop: p.pnop_spec.clone(),
-        seed: p.seed_opt,
-        shift: p.shift,
-        subst: p.subst,
-        regrand: p.regrand,
-        train: p.train_args.clone(),
-        validate: p.validate,
+        pnop: a.value("--pnop").map(str::to_owned),
+        seed,
+        shift: a.switch("--shift"),
+        subst: a.switch("--subst"),
+        regrand: a.switch("--regrand"),
+        train,
+        validate: a.switch("--validate"),
     };
-    let fetched = pgsd::serve::client::fetch(&addr, &req).map_err(|e| match e {
+    let fetched = pgsd::serve::client::fetch(addr, &req).map_err(|e| match e {
         // The server refused or failed the request: the property under
         // test failed — exit 1. Transport problems are exit 2.
         ClientError::Busy { .. } => CliError::failed(e.to_string()),
@@ -1677,7 +1479,7 @@ fn cmd_fetch(rest: &[String], _g: &Globals) -> Result<(), CliError> {
         }
         other => CliError::from(other.to_string()),
     })?;
-    if let Some(out) = &p.out {
+    if let Some(out) = a.value("--out") {
         std::fs::write(out, &fetched.payload)
             .map_err(|e| format!("cannot write artifact `{out}`: {e}"))?;
         eprintln!(
@@ -1686,7 +1488,7 @@ fn cmd_fetch(rest: &[String], _g: &Globals) -> Result<(), CliError> {
         );
     }
     let info: &VariantInfo = &fetched.info;
-    if p.json {
+    if a.switch("--json") {
         // The server's envelope, re-rendered verbatim: one shared
         // schema for the wire and the CLI.
         println!("{}", Response::Variant(info.clone()).to_json());
@@ -1715,10 +1517,8 @@ fn cmd_fetch(rest: &[String], _g: &Globals) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_report(rest: &[String]) -> Result<(), String> {
-    let [path] = rest else {
-        return Err("usage: pgsd report <metrics.json>".into());
-    };
+fn cmd_report(a: &Args) -> Result<(), CliError> {
+    let path = &a.operands[0];
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let doc = MetricsDoc::from_json(&text).map_err(|e| format!("`{path}`: {e}"))?;
     print!("{}", doc.summary_table());

@@ -471,3 +471,57 @@ fn fetch() {
         ],
     );
 }
+
+#[test]
+fn stray_positionals_are_usage_errors() {
+    check(
+        "stray",
+        &[
+            (
+                "disasm examples/sum.mc 7",
+                2,
+                "`pgsd disasm` takes no positional arguments",
+            ),
+            (
+                "serve bogus",
+                2,
+                "`pgsd serve` takes no positional arguments",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn help_lists_every_command_with_its_operands() {
+    let out = Command::new(env!("CARGO_BIN_EXE_pgsd"))
+        .arg("--help")
+        .output()
+        .expect("pgsd binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8(out.stdout).unwrap();
+    for usage in [
+        "pgsd run <file.mc>",
+        "pgsd diversify <file.mc>",
+        "pgsd check <file.mc>",
+        "pgsd audit [<file.mc>]",
+        "pgsd symbolicate <file.mc> <variant-id> <fault-addr>",
+        "pgsd gadgets <file.mc>",
+        "pgsd disasm <file.mc>",
+        "pgsd report <metrics.json>",
+        "pgsd fuzz [",
+        "pgsd bench [",
+        "pgsd cache <stats|clear>",
+        "pgsd serve [",
+        "pgsd fetch [<file.mc>]",
+    ] {
+        assert!(help.contains(usage), "missing `{usage}`:\n{help}");
+    }
+    // `check` and `gadgets` train on positional integers; the usage says so.
+    for cmd in ["check", "gadgets"] {
+        let usage = help
+            .split("\n  pgsd ")
+            .find(|u| u.starts_with(cmd))
+            .unwrap();
+        assert!(usage.trim_end().ends_with("[args…]"), "{usage}");
+    }
+}
