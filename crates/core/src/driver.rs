@@ -428,6 +428,25 @@ mod tests {
     }
 
     #[test]
+    fn requested_builds_map_the_request_flags() {
+        let s = Strategy::uniform(0.5);
+        assert_eq!(
+            BuildConfig::requested(s, 9, true, true, true, false),
+            BuildConfig::full_diversity(s, 9)
+        );
+        assert_eq!(
+            BuildConfig::requested(s, 9, false, false, false, true),
+            BuildConfig::diversified(s, 9).validated()
+        );
+        assert_eq!(Strategy::default(), Strategy::range(0.0, 0.30));
+        // Training: a profile-guided strategy, or any substitution.
+        assert!(!BuildConfig::requested(s, 1, true, false, true, false).needs_training());
+        assert!(BuildConfig::requested(s, 1, false, true, false, false).needs_training());
+        let profiled = BuildConfig::requested(Strategy::default(), 1, false, false, false, false);
+        assert!(profiled.needs_training());
+    }
+
+    #[test]
     fn profiled_strategy_requires_profile() {
         let config = BuildConfig::diversified(Strategy::range(0.1, 0.5), 1);
         let err = Session::from_source("t", SRC)
