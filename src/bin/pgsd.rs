@@ -86,8 +86,8 @@ impl From<&str> for CliError {
 
 /// The positional arguments a command takes besides its flags.
 enum Operands {
-    /// Exactly these, in order, each as (usage name, what an error
-    /// calls it a missing one).
+    /// Exactly these, in order, each as (usage name, what the error for
+    /// a missing one calls it).
     Exactly(&'static [(&'static str, &'static str)]),
     /// An optional source file: `audit` and `fetch` can take
     /// `--workload` names instead.
