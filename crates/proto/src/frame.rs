@@ -27,6 +27,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"PGSD";
 /// allocate.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// Most bytes the reader reserves before any payload arrives; beyond
+/// it the buffer grows with the bytes actually read, so a header that
+/// announces a large payload costs nothing until the payload comes.
+const INITIAL_PAYLOAD_CAPACITY: usize = 8 << 10;
+
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -162,8 +167,12 @@ pub fn read_frame_after_magic(r: &mut impl Read, magic: [u8; 4]) -> Result<Frame
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or_truncated(r, &mut payload, len as usize)?;
+    let expected = len as usize;
+    let mut payload = Vec::with_capacity(expected.min(INITIAL_PAYLOAD_CAPACITY));
+    let got = r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if got < expected {
+        return Err(FrameError::Truncated { expected, got });
+    }
     Ok(Frame { kind, payload })
 }
 
@@ -259,5 +268,22 @@ mod tests {
             read_frame(&mut buf[..6].as_ref()),
             Err(FrameError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn cap_sized_header_with_short_payload_is_exact_truncation() {
+        // The header announces the full cap; only 10 bytes follow. The
+        // buffer grows with what arrives instead of trusting the header.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.push(2);
+        buf.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
+        buf.extend_from_slice(&[7; 10]);
+        match read_frame(&mut buf.as_slice()) {
+            Err(FrameError::Truncated { expected, got }) => {
+                assert_eq!((expected, got), (MAX_FRAME_LEN as usize, 10));
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
     }
 }

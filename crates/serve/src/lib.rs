@@ -31,10 +31,11 @@
 //!   of a connection select framed (`"PGSD"`) or HTTP (`"GET "`)
 //!   handling, so `curl http://…/healthz` and `/metrics` work with no
 //!   extra port.
-//! * **Graceful shutdown**: a signal ([`install_signal_handlers`]) or a
-//!   framed `shutdown` request flips one flag; the acceptor stops
-//!   accepting, workers drain every already-queued connection, then all
-//!   threads join ([`ServerHandle::join`]).
+//! * **Graceful shutdown**: a signal ([`install_signal_handlers`]), a
+//!   framed `shutdown` or [`ServerHandle::request_shutdown`] sets one
+//!   flag and wakes the acceptor from its blocking `accept` with a
+//!   self-connect; workers drain every already-queued connection, then
+//!   all threads join ([`ServerHandle::join`]).
 
 #![warn(missing_docs)]
 
@@ -42,7 +43,7 @@ pub mod client;
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -58,9 +59,8 @@ use pgsd_proto::{
 };
 use pgsd_telemetry::Telemetry;
 
-/// How long the acceptor sleeps between accept attempts while idle —
-/// also the worst-case latency for noticing the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often the signal watcher checks for a delivered signal.
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
 
 /// Per-connection socket timeout: a stalled or dead peer can hold a
 /// worker for at most this long.
@@ -101,9 +101,14 @@ impl Default for ServeConfig {
     }
 }
 
+/// A target's shared session and its default training inputs.
+type TargetSession = (Arc<Session>, Vec<Input>);
+
 /// State shared by the acceptor, the workers, and the handle.
 struct Shared {
+    /// Set only by [`Shared::begin_shutdown`], under the `queue` lock.
     shutdown: AtomicBool,
+    addr: SocketAddr,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_wake: Condvar,
     capacity: usize,
@@ -113,14 +118,35 @@ struct Shared {
     tel: Telemetry,
     /// One session per target, keyed by workload name or source hash,
     /// so every request for the same program shares the memoized
-    /// seed-independent pipeline prefix.
-    sessions: Mutex<HashMap<String, Arc<Session>>>,
+    /// seed-independent pipeline prefix, next to its default train inputs.
+    sessions: Mutex<HashMap<String, TargetSession>>,
 }
 
-/// A running server: its bound address plus the thread handles needed
+impl Shared {
+    /// Starts a graceful shutdown; later calls do nothing. Setting the
+    /// flag under the queue lock means no worker can miss `notify_all`.
+    /// The self-connect (via loopback on a wildcard bind) wakes the
+    /// acceptor; the kernel completes it from the backlog, so the
+    /// acceptor may call this itself.
+    fn begin_shutdown(&self) {
+        let queue = self.queue.lock().unwrap();
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        drop(queue);
+        self.queue_wake.notify_all();
+        let wake: SocketAddr = match self.addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+            a => a,
+        };
+        let _ = TcpStream::connect_timeout(&wake, IO_TIMEOUT);
+    }
+}
+
+/// A running server: its shared state plus the thread handles needed
 /// to wait for a clean exit.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -128,20 +154,13 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The address the server actually bound (port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Asks the server to stop: the acceptor closes, workers drain the
     /// queue, then exit. Safe to call more than once.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_wake.notify_all();
-    }
-
-    /// `true` once shutdown has been requested (by signal, admin
-    /// request, or [`ServerHandle::request_shutdown`]).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.begin_shutdown();
     }
 
     /// Blocks until every thread has exited (after a shutdown request
@@ -164,11 +183,10 @@ impl ServerHandle {
 /// I/O errors from binding the listener.
 pub fn serve(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let bound = listener.local_addr()?;
     let workers = pgsd_exec::resolve_threads(config.workers);
     let shared = Arc::new(Shared {
         shutdown: AtomicBool::new(false),
+        addr: listener.local_addr()?,
         queue: Mutex::new(VecDeque::new()),
         queue_wake: Condvar::new(),
         capacity: config.queue_capacity,
@@ -195,11 +213,7 @@ pub fn serve(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
                 .spawn(move || worker_loop(&shared))?,
         );
     }
-    Ok(ServerHandle {
-        addr: bound,
-        shared,
-        threads,
-    })
+    Ok(ServerHandle { shared, threads })
 }
 
 /// Installs `SIGINT`/`SIGTERM` handlers that request shutdown, so a
@@ -207,9 +221,9 @@ pub fn serve(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
 ///
 /// Uses the libc `signal(2)` entry point directly (the build carries no
 /// signal-handling dependency); the handler only stores to a static
-/// atomic, which is async-signal-safe. A watcher thread translates the
-/// flag into a shutdown request. Only the first installation arms the
-/// handlers — fine for the one-daemon-per-process CLI.
+/// atomic, which is async-signal-safe. A watcher thread polls it every
+/// 10 ms and turns it into a shutdown request. Only the first
+/// installation arms the handlers — fine for the one-daemon CLI.
 pub fn install_signal_handlers(handle: &ServerHandle) {
     static FLAG: AtomicBool = AtomicBool::new(false);
     static INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -235,70 +249,62 @@ pub fn install_signal_handlers(handle: &ServerHandle) {
         .name("pgsd-serve-signal".into())
         .spawn(move || loop {
             if FLAG.load(Ordering::SeqCst) {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue_wake.notify_all();
+                shared.begin_shutdown();
                 return;
             }
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::sleep(ACCEPT_POLL);
+            std::thread::sleep(SIGNAL_POLL);
         })
         .expect("spawn signal watcher");
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let mut q = shared.queue.lock().unwrap();
-                if q.len() >= shared.capacity {
-                    drop(q);
-                    shared.tel.add("serve.busy", 1);
-                    // Inline handling: probes and the shutdown escape
-                    // hatch still work; diversify work gets `busy`.
-                    handle_conn(stream, shared, true);
-                } else {
-                    q.push_back(stream);
-                    drop(q);
-                    shared.queue_wake.notify_one();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+    loop {
+        // An error is about one connection (say, reset before it was
+        // accepted) or a transient fd shortage that clears as queued
+        // connections close; either way the next `accept` may succeed.
+        let Ok((stream, _)) = listener.accept() else {
+            continue;
+        };
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+        let mut q = shared.queue.lock().unwrap();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Drop the wake connection (or a client racing it) unserved,
+            // and the listener with it: new connects are refused.
+            return;
+        }
+        if q.len() >= shared.capacity {
+            drop(q);
+            shared.tel.add("serve.busy", 1);
+            // Inline handling: probes and the shutdown escape hatch
+            // still work; diversify work gets `busy`.
+            handle_conn(stream, shared, true);
+        } else {
+            q.push_back(stream);
+            drop(q);
+            shared.queue_wake.notify_one();
         }
     }
-    // Dropping the listener here closes the socket: new connects are
-    // refused while the workers drain what was already accepted.
 }
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let conn = {
+        let stream = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if let Some(c) = q.pop_front() {
-                    break Some(c);
+                    break c;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
+                    return;
                 }
-                let (guard, _) = shared
-                    .queue_wake
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap();
-                q = guard;
+                q = shared.queue_wake.wait(q).unwrap();
             }
         };
-        match conn {
-            Some(stream) => handle_conn(stream, shared, false),
-            None => return,
-        }
+        handle_conn(stream, shared, false);
     }
 }
 
@@ -375,8 +381,7 @@ fn handle_framed(mut stream: TcpStream, shared: &Shared, busy: bool) {
             respond(&mut stream, &Response::Metrics { metrics_json }, None);
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_wake.notify_all();
+            shared.begin_shutdown();
             respond(&mut stream, &Response::Ok, None);
         }
         Request::Diversify(_) if busy => {
@@ -428,34 +433,27 @@ fn respond(stream: &mut TcpStream, resp: &Response, payload: Option<&[u8]>) {
 
 /// The session for `target`, shared across requests so the
 /// seed-independent prefix is compiled once per program, plus the
-/// default training inputs (workloads bring their own `train` set).
-fn session_for(shared: &Shared, target: &Target) -> Result<(Arc<Session>, Vec<Input>), ProtoError> {
-    let (key, name, source, train) = match target {
-        Target::Workload(w) => {
-            let workload = pgsd_workloads::by_name(w).ok_or_else(|| {
-                ProtoError::new(
-                    ErrorCode::UnknownWorkload,
-                    format!("unknown workload `{w}`"),
-                )
-            })?;
-            (
-                format!("workload:{w}"),
-                workload.name.to_owned(),
-                workload.source,
-                workload.train,
-            )
-        }
-        Target::Source { name, text } => (
-            format!("src:{:016x}", fnv64(text.as_bytes())),
-            name.clone(),
-            text.clone(),
-            Vec::new(),
-        ),
+/// default training inputs (workloads bring their own `train` set);
+/// only the first request for a target generates its source.
+fn session_for(shared: &Shared, target: &Target) -> Result<TargetSession, ProtoError> {
+    let key = match target {
+        Target::Workload(w) => format!("workload:{w}"),
+        Target::Source { text, .. } => format!("src:{:016x}", fnv64(text.as_bytes())),
     };
     let mut sessions = shared.sessions.lock().unwrap();
-    if let Some(s) = sessions.get(&key) {
-        return Ok((Arc::clone(s), train));
+    if let Some((session, train)) = sessions.get(&key) {
+        return Ok((Arc::clone(session), train.clone()));
     }
+    let (name, source, train) = match target {
+        Target::Workload(w) => match pgsd_workloads::by_name(w) {
+            Some(workload) => (workload.name.to_owned(), workload.source, workload.train),
+            None => {
+                let message = format!("unknown workload `{w}`");
+                return Err(ProtoError::new(ErrorCode::UnknownWorkload, message));
+            }
+        },
+        Target::Source { name, text } => (name.clone(), text.clone(), Vec::new()),
+    };
     let session = Arc::new(
         Session::from_source(&name, &source)
             .cache(shared.cache.clone())
@@ -463,7 +461,7 @@ fn session_for(shared: &Shared, target: &Target) -> Result<(Arc<Session>, Vec<In
             .threads(1) // each request is one worker; don't nest fan-outs
             .ledger(true),
     );
-    sessions.insert(key, Arc::clone(&session));
+    sessions.insert(key, (Arc::clone(&session), train.clone()));
     Ok((session, train))
 }
 

@@ -63,34 +63,45 @@ impl Workload {
     }
 }
 
+/// Builds one workload: its source, train inputs and reference input.
+type Constructor = fn() -> Workload;
+
+/// Every workload's name and constructor, in the paper's Figure 4 order.
+/// Each constructor builds only its own program, so a lookup by name
+/// never generates the other eighteen.
+const SUITE: [(&str, Constructor); 19] = [
+    ("400.perlbench", perlbench),
+    ("401.bzip2", bzip2),
+    ("403.gcc", gcc),
+    ("429.mcf", mcf),
+    ("433.milc", milc),
+    ("444.namd", namd),
+    ("445.gobmk", gobmk),
+    ("447.dealII", dealii),
+    ("450.soplex", soplex),
+    ("453.povray", povray),
+    ("456.hmmer", hmmer),
+    ("458.sjeng", sjeng),
+    ("462.libquantum", libquantum),
+    ("464.h264ref", h264ref),
+    ("470.lbm", lbm),
+    ("471.omnetpp", omnetpp),
+    ("473.astar", astar),
+    ("482.sphinx3", sphinx3),
+    ("483.xalancbmk", xalancbmk),
+];
+
 /// The full 19-benchmark suite, in the paper's Figure 4 order.
 pub fn spec_suite() -> Vec<Workload> {
-    vec![
-        perlbench(),
-        bzip2(),
-        gcc(),
-        mcf(),
-        milc(),
-        namd(),
-        gobmk(),
-        dealii(),
-        soplex(),
-        povray(),
-        hmmer(),
-        sjeng(),
-        libquantum(),
-        h264ref(),
-        lbm(),
-        omnetpp(),
-        astar(),
-        sphinx3(),
-        xalancbmk(),
-    ]
+    SUITE.iter().map(|(_, make)| make()).collect()
 }
 
-/// Looks up a workload by name.
+/// Looks up a workload by name, building only that one program.
 pub fn by_name(name: &str) -> Option<Workload> {
-    spec_suite().into_iter().find(|w| w.name == name)
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, make)| make())
 }
 
 fn perlbench() -> Workload {
@@ -826,6 +837,19 @@ mod tests {
         assert_eq!(names.len(), 19);
         assert!(by_name("470.lbm").is_some());
         assert!(by_name("999.none").is_none());
+    }
+
+    #[test]
+    fn by_name_builds_the_same_workload_as_the_suite() {
+        for w in spec_suite() {
+            let found = by_name(w.name).unwrap_or_else(|| panic!("{} not found", w.name));
+            assert_eq!(found.name, w.name);
+            assert_eq!(found.source, w.source, "{} source differs", w.name);
+            assert_eq!(found.train, w.train, "{} train inputs differ", w.name);
+            assert_eq!(found.reference, w.reference, "{} ref input differs", w.name);
+        }
+        assert!(by_name("").is_none());
+        assert!(by_name("470.LBM").is_none());
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! round-trips, malformed/truncated-frame rejection with typed errors,
 //! byte-identity of served artifacts against offline `Session` builds
 //! under concurrent load, typed `busy` backpressure, graceful drain,
-//! the HTTP shim, and the `pgsd serve`/`pgsd fetch` CLI pair with its
-//! `--json` envelope purity.
+//! shutdown of an acceptor blocked in `accept`, the HTTP shim, and the
+//! `pgsd serve`/`pgsd fetch` CLI pair with its `--json` envelope purity.
 
 use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Output, Stdio};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use pgsd::cache::artifact::encode_image;
 use pgsd::core::driver::BuildConfig;
@@ -19,7 +21,7 @@ use pgsd::proto::{
     FRAME_MAGIC,
 };
 use pgsd::serve::client::{self, ClientError};
-use pgsd::serve::{serve, ServeConfig};
+use pgsd::serve::{serve, ServeConfig, ServerHandle};
 use pgsd::telemetry::Telemetry;
 
 const SRC: &str = "int main(int n) {
@@ -219,6 +221,52 @@ fn protocol_shutdown_drains_and_refuses_new_connections() {
     handle.join();
     // The listener is gone: connecting now fails.
     assert!(TcpStream::connect(&addr).is_err());
+}
+
+/// Joins the daemon, failing if it has not stopped within a bound far
+/// above any healthy shutdown: this catches a hang, not a slow host.
+fn join_within_bound(handle: ServerHandle) {
+    let (done, stopped) = mpsc::channel();
+    thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("daemon did not stop within 5 s of its shutdown request");
+}
+
+#[test]
+fn idle_daemon_stops_through_request_shutdown() {
+    let handle = start_server(32);
+    handle.request_shutdown();
+    handle.request_shutdown(); // idempotent
+    join_within_bound(handle);
+}
+
+#[test]
+fn idle_daemon_stops_through_framed_shutdown() {
+    let handle = start_server(32);
+    client::shutdown(&handle.addr().to_string()).unwrap();
+    join_within_bound(handle);
+}
+
+#[test]
+fn wildcard_bound_daemon_stops() {
+    let handle = serve("0.0.0.0:0", ServeConfig::default()).expect("daemon binds 0.0.0.0");
+    let loopback = format!("127.0.0.1:{}", handle.addr().port());
+    client::health(&loopback).unwrap();
+    handle.request_shutdown();
+    join_within_bound(handle);
+}
+
+#[test]
+fn zero_capacity_daemon_stops_through_inline_shutdown() {
+    // With no queue the acceptor itself serves the shutdown request, so
+    // its own wake-up connection must not deadlock it.
+    let handle = start_server(0);
+    client::shutdown(&handle.addr().to_string()).unwrap();
+    join_within_bound(handle);
 }
 
 #[test]
