@@ -10,25 +10,38 @@
 //! and the compressed baseline↔variant address map computed by the
 //! translation validator.
 //!
-//! Storage follows the artifact manifest's rules exactly: a single
-//! schema-versioned `ledger.json` in the cache directory, rewritten
-//! atomically (temp file + rename), where *any* irregularity on load —
-//! missing file, parse error, wrong `kind` or `schema_version`,
-//! malformed record — yields an empty ledger. Cold is always safe: the
-//! records regenerate on the next population build. Records live in a
-//! `BTreeMap` keyed by variant id, so the serialized form is
-//! byte-identical no matter how many threads raced to insert.
+//! # Log format
+//!
+//! `ledger.json` is an append-only JSON-lines log: a header line
+//! `{"schema_version":2,"kind":"pgsd-variant-ledger"}`, then one record
+//! per line. A flush appends only the records added since the last
+//! one, sorted by id, in one write, so recording a variant costs
+//! O(record) disk work however long the ledger already is.
+//!
+//! Opening keeps every newline-terminated line that parses as a record;
+//! on a duplicate id the first line wins. A torn tail, a bad line, a
+//! duplicate, an unrecognized header or a version-1 single-document
+//! ledger makes the open rewrite the file compacted (header plus
+//! records sorted by id, via temp file + rename), so later appends
+//! start on a clean line. A version-1 ledger is read through the old
+//! document loader, so its records survive the migration; any other
+//! unreadable file loads empty. A torn or corrupt record is therefore a
+//! miss, never a misattribution, and the records regenerate on the next
+//! build of their variants. Records live in a `BTreeMap` keyed by
+//! variant id, so each batch serializes byte-identically no matter how
+//! many threads raced to insert.
 
-use std::collections::BTreeMap;
-use std::fs;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use pgsd_telemetry::json::{parse, Value};
 
-/// Schema version of `ledger.json`. Bump on any layout change; old
-/// ledgers are then ignored wholesale (cold rebuild), never
-/// misinterpreted.
-pub const LEDGER_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the ledger log's header line. Version 1 was a
+/// single JSON document; it is migrated on open. Any other version is
+/// ignored wholesale (cold rebuild), never misinterpreted.
+pub const LEDGER_SCHEMA_VERSION: u64 = 2;
 
 /// The `kind` tag of ledger files.
 pub const LEDGER_KIND: &str = "pgsd-variant-ledger";
@@ -59,63 +72,162 @@ pub struct LedgerRecord {
     pub addr_map: Vec<u8>,
 }
 
-/// In-memory ledger state: records plus a dirty flag so flushes are
-/// skipped when nothing changed.
+/// In-memory ledger state: every record, plus what the log still lacks.
 #[derive(Debug, Default)]
 pub(crate) struct LedgerStore {
     pub(crate) records: BTreeMap<String, LedgerRecord>,
-    pub(crate) dirty: bool,
+    /// Ids recorded since the last flush; only a disk-backed cache
+    /// fills it.
+    pub(crate) pending: BTreeSet<String>,
+    /// The log on disk is not a clean prefix of `records` (irregular at
+    /// open, or a failed write may have torn it): the next flush
+    /// rewrites it whole instead of appending.
+    rewrite: bool,
+    /// Bytes the compaction at open wrote, counted by the next flush.
+    unreported: u64,
 }
 
 impl LedgerStore {
+    /// Loads the log in `dir` (see the module docs), compacting it when
+    /// it is irregular. Never fails: an unreadable log loads empty.
+    pub(crate) fn open(dir: &Path) -> LedgerStore {
+        let Ok(bytes) = fs::read(dir.join(LEDGER_FILE)) else {
+            return LedgerStore::default();
+        };
+        let (records, clean) = read_log(&bytes);
+        let mut store = LedgerStore {
+            records,
+            rewrite: !clean,
+            ..LedgerStore::default()
+        };
+        if store.rewrite {
+            store.unreported = store.flush(dir);
+        }
+        store
+    }
+
     /// Total hex-armored payload bytes (the `addr_map` columns) — the
     /// quantity the `ledger.bytes` counter tracks.
     pub(crate) fn bytes(&self) -> u64 {
         self.records.values().map(|r| r.addr_map.len() as u64).sum()
     }
+
+    /// Brings the log in `dir` up to date: appends the pending records
+    /// in one write, or rewrites the whole log when it is irregular.
+    /// Returns the bytes written since the last call, compaction at
+    /// open included. Best-effort: an IO failure leaves the records
+    /// pending and the next flush rewrites the log.
+    pub(crate) fn flush(&mut self, dir: &Path) -> u64 {
+        let written = if self.rewrite {
+            write_compacted(dir, &self.records)
+        } else if self.pending.is_empty() {
+            Ok(0)
+        } else {
+            self.append(dir)
+        };
+        match written {
+            Ok(n) => {
+                self.pending.clear();
+                self.rewrite = false;
+                n + std::mem::take(&mut self.unreported)
+            }
+            Err(_) => {
+                self.rewrite = true;
+                0
+            }
+        }
+    }
+
+    fn append(&self, dir: &Path) -> io::Result<u64> {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(dir.join(LEDGER_FILE))?;
+        let mut text = String::new();
+        if file.metadata()?.len() == 0 {
+            text.push_str(&header());
+        }
+        for id in &self.pending {
+            push_record(&self.records[id], &mut text);
+        }
+        file.write_all(text.as_bytes())?;
+        Ok(text.len() as u64)
+    }
 }
 
-/// Serializes the ledger document (deterministic: `BTreeMap` order,
-/// fixed field order per record).
-pub(crate) fn ledger_json(records: &BTreeMap<String, LedgerRecord>) -> String {
-    let rows: Vec<Value> = records
-        .values()
-        .map(|r| {
-            Value::Obj(vec![
-                ("variant_id".into(), Value::Str(r.variant_id.clone())),
-                ("seed".into(), Value::u64(r.seed)),
-                ("transforms".into(), Value::Str(r.transforms.clone())),
-                ("module_key".into(), Value::Str(r.module_key.clone())),
-                ("config".into(), Value::Str(r.config.clone())),
-                ("profile".into(), Value::Str(r.profile.clone())),
-                ("addr_map".into(), Value::Str(hex_encode(&r.addr_map))),
-            ])
-        })
-        .collect();
-    let doc = Value::Obj(vec![
-        ("schema_version".into(), Value::u64(LEDGER_SCHEMA_VERSION)),
-        ("kind".into(), Value::Str(LEDGER_KIND.into())),
-        ("records".into(), Value::Arr(rows)),
-    ]);
-    let mut text = String::new();
-    doc.write(&mut text);
-    text.push('\n');
-    text
+fn header() -> String {
+    format!("{{\"schema_version\":{LEDGER_SCHEMA_VERSION},\"kind\":\"{LEDGER_KIND}\"}}\n")
 }
 
-/// Parses a ledger file. *Any* irregularity — missing file, parse
-/// error, wrong `kind`, wrong `schema_version`, malformed record —
-/// yields an empty ledger, mirroring the artifact manifest's
-/// fall-back-cold contract.
-pub(crate) fn load_ledger(path: &Path) -> BTreeMap<String, LedgerRecord> {
+/// Appends one record line (fixed field order) to `out`.
+fn push_record(r: &LedgerRecord, out: &mut String) {
+    Value::Obj(vec![
+        ("variant_id".into(), Value::Str(r.variant_id.clone())),
+        ("seed".into(), Value::u64(r.seed)),
+        ("transforms".into(), Value::Str(r.transforms.clone())),
+        ("module_key".into(), Value::Str(r.module_key.clone())),
+        ("config".into(), Value::Str(r.config.clone())),
+        ("profile".into(), Value::Str(r.profile.clone())),
+        ("addr_map".into(), Value::Str(hex_encode(&r.addr_map))),
+    ])
+    .write(out);
+    out.push('\n');
+}
+
+/// Writes header plus every record, sorted by id, over the log (temp
+/// file + rename). Returns the bytes written.
+fn write_compacted(dir: &Path, records: &BTreeMap<String, LedgerRecord>) -> io::Result<u64> {
+    let mut text = header();
+    for r in records.values() {
+        push_record(r, &mut text);
+    }
+    let tmp = dir.join(format!("{LEDGER_FILE}.tmp"));
+    fs::write(&tmp, &text)?;
+    fs::rename(&tmp, dir.join(LEDGER_FILE))?;
+    Ok(text.len() as u64)
+}
+
+/// Parses a ledger file's bytes into its records, and whether the file
+/// was a clean log (no compaction needed).
+fn read_log(bytes: &[u8]) -> (BTreeMap<String, LedgerRecord>, bool) {
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let is_log = lines.next().and_then(parse_line).is_some_and(|doc| {
+        doc.get("schema_version").and_then(Value::as_u64) == Some(LEDGER_SCHEMA_VERSION)
+            && doc.get("kind").and_then(Value::as_str) == Some(LEDGER_KIND)
+    });
+    if !is_log {
+        return (load_v1(bytes), false);
+    }
+    let mut records = BTreeMap::new();
+    let mut clean = true;
+    for line in lines {
+        match parse_line(line).as_ref().and_then(record_of) {
+            Some(rec) if !records.contains_key(&rec.variant_id) => {
+                records.insert(rec.variant_id.clone(), rec);
+            }
+            // A torn tail, a bad line, or a duplicate (first wins).
+            _ => clean = false,
+        }
+    }
+    (records, clean)
+}
+
+/// The JSON of one complete line; `None` for a torn tail (no newline),
+/// invalid UTF-8 or a parse error.
+fn parse_line(line: &[u8]) -> Option<Value> {
+    let body = line.strip_suffix(b"\n")?;
+    parse(std::str::from_utf8(body).ok()?).ok()
+}
+
+/// Parses a version-1 ledger: one document holding every record.
+/// *Any* irregularity — parse error, wrong `kind`, wrong
+/// `schema_version`, malformed record — yields an empty ledger.
+fn load_v1(bytes: &[u8]) -> BTreeMap<String, LedgerRecord> {
     let mut out = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(path) else {
+    let Some(doc) = std::str::from_utf8(bytes).ok().and_then(|t| parse(t).ok()) else {
         return out;
     };
-    let Ok(doc) = parse(&text) else {
-        return out;
-    };
-    if doc.get("schema_version").and_then(Value::as_u64) != Some(LEDGER_SCHEMA_VERSION)
+    if doc.get("schema_version").and_then(Value::as_u64) != Some(1)
         || doc.get("kind").and_then(Value::as_str) != Some(LEDGER_KIND)
     {
         return out;
@@ -173,6 +285,7 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     pub(crate) fn sample_record(id: &str, seed: u64) -> LedgerRecord {
         LedgerRecord {
@@ -186,56 +299,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ledger_json_round_trips_and_is_deterministic() {
-        let dir = std::env::temp_dir().join(format!("pgsd-ledger-rt-{}", std::process::id()));
+    fn tdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pgsd-ledger-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let mut records = BTreeMap::new();
-        for (id, seed) in [("bb", 2), ("aa", 1), ("cc", 3)] {
-            records.insert(id.to_string(), sample_record(id, seed));
+        dir
+    }
+
+    fn store_of(ids: &[(&str, u64)]) -> LedgerStore {
+        let mut store = LedgerStore::default();
+        for &(id, seed) in ids {
+            store
+                .records
+                .insert(id.to_string(), sample_record(id, seed));
+            store.pending.insert(id.to_string());
         }
-        let text = ledger_json(&records);
-        // Insertion order does not leak: records serialize sorted by id.
+        store
+    }
+
+    #[test]
+    fn ledger_json_round_trips_and_is_deterministic() {
+        let dir = tdir("rt");
+        let mut store = store_of(&[("bb", 2), ("aa", 1), ("cc", 3)]);
+        let written = store.flush(&dir);
+        let text = fs::read_to_string(dir.join(LEDGER_FILE)).unwrap();
+        assert_eq!(written, text.len() as u64);
+        assert!(text.starts_with("{\"schema_version\":2,\"kind\":\"pgsd-variant-ledger\"}\n"));
+        // Insertion order does not leak: a batch serializes sorted by id.
         assert!(text.find("\"aa\"").unwrap() < text.find("\"bb\"").unwrap());
-        let path = dir.join(LEDGER_FILE);
-        fs::write(&path, &text).unwrap();
-        let loaded = load_ledger(&path);
-        assert_eq!(loaded, records);
-        assert_eq!(ledger_json(&loaded), text);
+        assert_eq!(store.flush(&dir), 0, "nothing pending: no write");
+        let loaded = LedgerStore::open(&dir);
+        assert_eq!(loaded.records, store.records);
+        assert_eq!(
+            fs::read_to_string(dir.join(LEDGER_FILE)).unwrap(),
+            text,
+            "a clean log is not rewritten on open"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_appends_only_new_records() {
+        let dir = tdir("append");
+        let mut store = store_of(&[("bb", 2)]);
+        store.flush(&dir);
+        let before = fs::read(dir.join(LEDGER_FILE)).unwrap();
+        store.records.insert("aa".into(), sample_record("aa", 1));
+        store.pending.insert("aa".into());
+        let written = store.flush(&dir);
+        let after = fs::read(dir.join(LEDGER_FILE)).unwrap();
+        assert!(after.starts_with(&before), "earlier bytes untouched");
+        assert_eq!(written, (after.len() - before.len()) as u64);
+        assert_eq!(LedgerStore::open(&dir).records, store.records);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn duplicates_keep_the_first_line_and_compact() {
+        let dir = tdir("dup");
+        let mut text = header();
+        push_record(&sample_record("bb", 1), &mut text);
+        push_record(&sample_record("aa", 2), &mut text);
+        push_record(&sample_record("bb", 9), &mut text);
+        fs::write(dir.join(LEDGER_FILE), &text).unwrap();
+        let store = LedgerStore::open(&dir);
+        assert_eq!(store.records["bb"].seed, 1, "first line wins");
+        let mut compacted = header();
+        push_record(&sample_record("aa", 2), &mut compacted);
+        push_record(&sample_record("bb", 1), &mut compacted);
+        assert_eq!(
+            fs::read_to_string(dir.join(LEDGER_FILE)).unwrap(),
+            compacted
+        );
+        assert_eq!(
+            store.unreported,
+            compacted.len() as u64,
+            "the compaction is counted by the next flush"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn irregular_ledgers_load_empty_never_panic() {
-        let dir = std::env::temp_dir().join(format!("pgsd-ledger-bad-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = tdir("bad");
         let path = dir.join(LEDGER_FILE);
         // Missing file.
-        assert!(load_ledger(&path).is_empty());
-        // Unparseable.
-        fs::write(&path, "{not json at all").unwrap();
-        assert!(load_ledger(&path).is_empty());
-        // Truncated mid-document.
-        let mut records = BTreeMap::new();
-        records.insert("aa".into(), sample_record("aa", 1));
-        let text = ledger_json(&records);
-        fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(load_ledger(&path).is_empty());
-        // Wrong schema version.
-        fs::write(
-            &path,
-            text.replace("\"schema_version\":1", "\"schema_version\":999"),
-        )
-        .unwrap();
-        assert!(load_ledger(&path).is_empty());
-        // Wrong kind tag.
-        fs::write(&path, text.replace(LEDGER_KIND, "some-other-kind")).unwrap();
-        assert!(load_ledger(&path).is_empty());
-        // Malformed record (bad hex) poisons the file.
-        fs::write(&path, text.replace(&hex_encode(&[0x50]), "zz")).unwrap();
-        assert!(load_ledger(&path).is_empty());
+        assert!(LedgerStore::open(&dir).records.is_empty());
+        let mut text = header();
+        push_record(&sample_record("aa", 1), &mut text);
+        for bad in [
+            "{not json at all".to_string(),
+            String::new(),
+            // Torn inside the record line.
+            text[..text.len() / 2].to_string(),
+            text.replace("\"schema_version\":2", "\"schema_version\":999"),
+            text.replace(LEDGER_KIND, "some-other-kind"),
+            // Malformed record (bad hex) is a bad line.
+            text.replace(&hex_encode(&[0x50]), "zz"),
+            // So is a line nested too deep to parse.
+            format!("{}{}\n", header(), "[".repeat(1_000_000)),
+        ] {
+            fs::write(&path, &bad).unwrap();
+            let store = LedgerStore::open(&dir);
+            let head = &bad[..bad.len().min(60)];
+            assert!(store.records.is_empty(), "loaded from {head:?}");
+            assert_eq!(
+                fs::read_to_string(&path).unwrap(),
+                header(),
+                "compacted to an empty log"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,10 +14,11 @@
 //!   is [`Cache::disabled`]); shared by cloning the handle.
 //! * **Disk** — only self-contained final products (images, profiles),
 //!   as hash-named checksummed files under a cache directory (by
-//!   convention [`DEFAULT_DIR`]) plus a schema-versioned
-//!   `manifest.json`. A version mismatch, unparseable manifest, or
-//!   corrupt artifact file is *never* an error: the entry is treated as
-//!   absent and the build falls back to a cold compile.
+//!   convention [`DEFAULT_DIR`]). There is no manifest: opening the
+//!   cache scans the directory once to index the files, and a put
+//!   writes one file (temp file + rename), however many are stored. A
+//!   corrupt or unreadable artifact file is *never* an error: the entry
+//!   is treated as absent and the build falls back to a cold compile.
 //!
 //! Key derivation lives with the pipeline (`pgsd_core::session`); this
 //! crate only stores blobs under [`Key`]s. Hits, misses, evictions,
@@ -38,9 +39,10 @@
 //! provenance [`ledger`] (`ledger.json`): per content-hash variant id,
 //! the seed, transform set, pipeline keys, and compressed
 //! baseline↔variant address map needed to symbolicate fleet crashes.
-//! It follows the manifest's robustness contract (schema-versioned,
-//! atomic rewrite, any corruption → empty) and reports through the
-//! `ledger.records` / `ledger.bytes` counters.
+//! It is an append-only JSON-lines log: a flush appends only the new
+//! records, and a torn or corrupt line is a miss that the next open
+//! compacts away. It reports through the `ledger.records` /
+//! `ledger.bytes` counters and `cache.bytes_written{kind=ledger}`.
 
 pub mod artifact;
 pub mod hash;
@@ -51,7 +53,7 @@ pub use ledger::{LedgerRecord, LEDGER_FILE, LEDGER_KIND, LEDGER_SCHEMA_VERSION};
 
 use ledger::LedgerStore;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io;
 use std::mem;
@@ -62,18 +64,10 @@ use pgsd_cc::emit::Image;
 use pgsd_cc::ir::Module;
 use pgsd_cc::lir::{MFunction, MInst};
 use pgsd_profile::Profile;
-use pgsd_telemetry::json::{parse, Value};
 use pgsd_telemetry::Telemetry;
 
-/// Schema version of `manifest.json`. Bump on any layout change; old
-/// manifests are then ignored wholesale (cold rebuild), never
-/// misinterpreted.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
-
-/// The `kind` tag of manifest files.
-pub const MANIFEST_KIND: &str = "pgsd-cache-manifest";
-
-/// File name of the manifest inside a cache directory.
+/// File name of the artifact manifest that older versions kept in a
+/// cache directory. It is never read; [`Cache::clear_dir`] removes it.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
 /// Conventional cache directory name (`pgsd --cache-dir` default).
@@ -101,7 +95,7 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// Stable lowercase label (telemetry `kind=` value, manifest tag).
+    /// Stable lowercase label (telemetry `kind=` value).
     pub fn label(self) -> &'static str {
         match self {
             Kind::Module => "module",
@@ -112,17 +106,6 @@ impl Kind {
         }
     }
 
-    fn from_label(s: &str) -> Option<Kind> {
-        Some(match s {
-            "module" => Kind::Module,
-            "lir" => Kind::Lir,
-            "image" => Kind::Image,
-            "profile" => Kind::Profile,
-            "verdict" => Kind::Verdict,
-            _ => return None,
-        })
-    }
-
     /// File name of this artifact inside the cache directory, or `None`
     /// if the kind is memory-only.
     fn file_name(self, key: Key) -> Option<String> {
@@ -131,6 +114,16 @@ impl Kind {
             Kind::Profile => Some(format!("prof-{}.bin", key.hex())),
             _ => None,
         }
+    }
+
+    /// The inverse of [`Kind::file_name`]: `None` for any other name.
+    fn of_file_name(name: &str) -> Option<(Kind, Key)> {
+        let (kind, rest) = match name.strip_prefix("img-") {
+            Some(rest) => (Kind::Image, rest),
+            None => (Kind::Profile, name.strip_prefix("prof-")?),
+        };
+        let key = Key::from_hex(rest.strip_suffix(".bin")?)?;
+        (kind.file_name(key)? == name).then_some((kind, key))
     }
 }
 
@@ -234,49 +227,35 @@ impl MemStore {
     }
 }
 
-/// The disk layer: artifact files plus an in-memory mirror of the
-/// manifest, rewritten (atomically, via temp file + rename) on every
-/// accepted put or dropped entry.
+/// The disk layer: artifact files, indexed in memory by one directory
+/// scan at open. There is no manifest: every file is a self-checking
+/// envelope (tag + checksum, see [`artifact`]) written by temp file +
+/// rename under a pipeline-versioned key, so a file that is present
+/// is either intact or caught as corrupt when read.
 struct DiskStore {
     dir: PathBuf,
-    manifest: Mutex<BTreeMap<(Kind, Key), u64>>,
+    /// Size of each artifact file, by kind and key.
+    index: Mutex<HashMap<(Kind, Key), u64>>,
 }
 
 impl DiskStore {
     fn open(dir: &Path) -> io::Result<DiskStore> {
         fs::create_dir_all(dir)?;
-        let manifest = load_manifest(&dir.join(MANIFEST_FILE));
+        let mut index = HashMap::new();
+        for entry in fs::read_dir(dir)?.flatten() {
+            let Some(slot) = entry.file_name().to_str().and_then(Kind::of_file_name) else {
+                continue;
+            };
+            if let Ok(meta) = entry.metadata() {
+                if meta.is_file() {
+                    index.insert(slot, meta.len());
+                }
+            }
+        }
         Ok(DiskStore {
             dir: dir.to_path_buf(),
-            manifest: Mutex::new(manifest),
+            index: Mutex::new(index),
         })
-    }
-
-    /// Best-effort manifest rewrite; callers treat the disk layer as an
-    /// optimization, so IO errors degrade to "not cached".
-    fn flush_manifest(&self, entries: &BTreeMap<(Kind, Key), u64>) {
-        let rows: Vec<Value> = entries
-            .iter()
-            .map(|((kind, key), bytes)| {
-                Value::Obj(vec![
-                    ("kind".into(), Value::Str(kind.label().into())),
-                    ("key".into(), Value::Str(key.hex())),
-                    ("bytes".into(), Value::u64(*bytes)),
-                ])
-            })
-            .collect();
-        let doc = Value::Obj(vec![
-            ("schema_version".into(), Value::u64(MANIFEST_SCHEMA_VERSION)),
-            ("kind".into(), Value::Str(MANIFEST_KIND.into())),
-            ("entries".into(), Value::Arr(rows)),
-        ]);
-        let mut text = String::new();
-        doc.write(&mut text);
-        text.push('\n');
-        let tmp = self.dir.join("manifest.json.tmp");
-        if fs::write(&tmp, &text).is_ok() {
-            let _ = fs::rename(&tmp, self.dir.join(MANIFEST_FILE));
-        }
     }
 
     /// Reads and decodes `kind/key`, dropping the entry on any failure.
@@ -287,11 +266,8 @@ impl DiskStore {
             Some(f) => f,
             None => return Ok(None),
         };
-        {
-            let manifest = self.manifest.lock().unwrap();
-            if !manifest.contains_key(&(kind, key)) {
-                return Ok(None);
-            }
+        if !self.index.lock().unwrap().contains_key(&(kind, key)) {
+            return Ok(None);
         }
         let path = self.dir.join(&file);
         let decoded = fs::read(&path)
@@ -308,10 +284,8 @@ impl DiskStore {
             Err(_) => {
                 // Unreadable or corrupt: forget it so the slot can be
                 // refilled by the cold rebuild.
-                let mut manifest = self.manifest.lock().unwrap();
-                if manifest.remove(&(kind, key)).is_some() {
+                if self.index.lock().unwrap().remove(&(kind, key)).is_some() {
                     let _ = fs::remove_file(&path);
-                    self.flush_manifest(&manifest);
                 }
                 Err(())
             }
@@ -320,6 +294,7 @@ impl DiskStore {
 
     /// Encodes and writes `kind/key` if not already present. Returns
     /// bytes written (0 if already present or kind is memory-only).
+    /// Best-effort: an IO error degrades to "not cached".
     fn put(&self, kind: Kind, key: Key, slot: &Slot) -> u64 {
         let file = match kind.file_name(key) {
             Some(f) => f,
@@ -330,8 +305,8 @@ impl DiskStore {
             Slot::Profile(p) => artifact::encode_profile(p),
             _ => return 0,
         };
-        let mut manifest = self.manifest.lock().unwrap();
-        if manifest.contains_key(&(kind, key)) {
+        let mut index = self.index.lock().unwrap();
+        if index.contains_key(&(kind, key)) {
             return 0;
         }
         let path = self.dir.join(&file);
@@ -340,57 +315,14 @@ impl DiskStore {
             return 0;
         }
         let n = bytes.len() as u64;
-        manifest.insert((kind, key), n);
-        self.flush_manifest(&manifest);
+        index.insert((kind, key), n);
         n
     }
 
     fn stats(&self) -> (usize, u64) {
-        let manifest = self.manifest.lock().unwrap();
-        (manifest.len(), manifest.values().sum())
+        let index = self.index.lock().unwrap();
+        (index.len(), index.values().sum())
     }
-}
-
-/// Parses a manifest file. *Any* irregularity — missing file, parse
-/// error, wrong `kind`, wrong `schema_version`, malformed entry —
-/// yields an empty manifest: the store then behaves as cold, which is
-/// always safe.
-fn load_manifest(path: &Path) -> BTreeMap<(Kind, Key), u64> {
-    let mut out = BTreeMap::new();
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return out,
-    };
-    let doc = match parse(&text) {
-        Ok(d) => d,
-        Err(_) => return out,
-    };
-    if doc.get("schema_version").and_then(Value::as_u64) != Some(MANIFEST_SCHEMA_VERSION)
-        || doc.get("kind").and_then(Value::as_str) != Some(MANIFEST_KIND)
-    {
-        return out;
-    }
-    let entries = match doc.get("entries").and_then(Value::as_arr) {
-        Some(e) => e,
-        None => return out,
-    };
-    for row in entries {
-        let kind = row
-            .get("kind")
-            .and_then(Value::as_str)
-            .and_then(Kind::from_label);
-        let key = row
-            .get("key")
-            .and_then(Value::as_str)
-            .and_then(Key::from_hex);
-        let bytes = row.get("bytes").and_then(Value::as_u64);
-        if let (Some(kind), Some(key), Some(bytes)) = (kind, key, bytes) {
-            if kind.file_name(key).is_some() {
-                out.insert((kind, key), bytes);
-            }
-        }
-    }
-    out
 }
 
 struct Inner {
@@ -408,9 +340,10 @@ pub struct CacheStats {
     pub mem_bytes: u64,
     /// Total in-memory evictions so far.
     pub evictions: u64,
-    /// Artifact files recorded in the on-disk manifest.
+    /// Artifact files in the cache directory: found by the scan at
+    /// open or written since.
     pub disk_entries: usize,
-    /// Bytes of artifact files recorded in the manifest.
+    /// Bytes of those artifact files.
     pub disk_bytes: u64,
     /// Variant records in the provenance ledger.
     pub ledger_records: usize,
@@ -469,20 +402,18 @@ impl Cache {
         }
     }
 
-    /// A two-level cache backed by `dir` (created if absent). The
-    /// manifest is loaded now; a version/schema mismatch or corrupt
-    /// manifest silently yields an empty (cold) store.
+    /// A two-level cache backed by `dir` (created if absent). One scan
+    /// of the directory indexes its artifact files, and the ledger log
+    /// is loaded (and compacted if irregular, see [`ledger`]). Corrupt
+    /// files are not an error: they read as misses.
     pub fn persistent(dir: &Path) -> io::Result<Cache> {
         let disk = DiskStore::open(dir)?;
-        let records = ledger::load_ledger(&disk.dir.join(LEDGER_FILE));
+        let ledger = LedgerStore::open(&disk.dir);
         Ok(Cache {
             inner: Some(Arc::new(Inner {
                 mem: Mutex::new(MemStore::new(DEFAULT_MEM_CAP)),
                 disk: Some(disk),
-                ledger: Mutex::new(LedgerStore {
-                    records,
-                    dirty: false,
-                }),
+                ledger: Mutex::new(ledger),
             })),
         })
     }
@@ -624,8 +555,10 @@ impl Cache {
         }
         tel.add("ledger.records", 1);
         tel.add("ledger.bytes", record.addr_map.len() as u64);
+        if inner.disk.is_some() {
+            ledger.pending.insert(record.variant_id.clone());
+        }
         ledger.records.insert(record.variant_id.clone(), record);
-        ledger.dirty = true;
     }
 
     /// Looks up one variant's provenance by id.
@@ -635,21 +568,17 @@ impl Cache {
         ledger.records.get(variant_id).cloned()
     }
 
-    /// Writes `ledger.json` if this cache is disk-backed and the ledger
-    /// changed since the last flush. Atomic (temp file + rename) and
-    /// best-effort, like the manifest: an IO failure degrades to "not
-    /// persisted", never an error.
-    pub fn flush_ledger(&self) {
+    /// If this cache is disk-backed, appends the records put since the
+    /// last flush to the ledger log, sorted by id, in one write. Counts
+    /// the bytes written (the open-time compaction's included) as
+    /// `cache.bytes_written{kind=ledger}`. Best-effort: an IO failure
+    /// degrades to "not persisted", never an error.
+    pub fn flush_ledger(&self, tel: &Telemetry) {
         let Some(inner) = &self.inner else { return };
         let Some(disk) = &inner.disk else { return };
-        let mut ledger = inner.ledger.lock().unwrap();
-        if !ledger.dirty {
-            return;
-        }
-        let text = ledger::ledger_json(&ledger.records);
-        let tmp = disk.dir.join(format!("{LEDGER_FILE}.tmp"));
-        if fs::write(&tmp, &text).is_ok() && fs::rename(&tmp, disk.dir.join(LEDGER_FILE)).is_ok() {
-            ledger.dirty = false;
+        let written = inner.ledger.lock().unwrap().flush(&disk.dir);
+        if written > 0 {
+            tel.add_labeled("cache.bytes_written", &[("kind", "ledger")], written);
         }
     }
 
@@ -674,7 +603,8 @@ impl Cache {
     }
 
     /// Deletes every cache-owned file in `dir` (artifact files, the
-    /// manifest, stray temp files); the directory itself is kept.
+    /// ledger, a legacy manifest, stray temp files); the directory
+    /// itself is kept.
     /// Returns the number of files removed. A missing directory counts
     /// as already clear.
     pub fn clear_dir(dir: &Path) -> io::Result<usize> {
@@ -853,28 +783,37 @@ mod tests {
     }
 
     #[test]
-    fn manifest_schema_mismatch_means_cold() {
-        let dir = tdir("schema");
+    fn legacy_manifest_is_ignored_and_artifacts_hit_by_scan() {
+        let dir = tdir("legacy-manifest");
         let tel = Telemetry::disabled();
         {
             let c = Cache::persistent(&dir).unwrap();
             c.put_image(Key(9), sample_image(9), &tel);
         }
-        let manifest = dir.join(MANIFEST_FILE);
-        let text = fs::read_to_string(&manifest).unwrap();
+        // The manifest older versions wrote, listing one file that is
+        // present and one that is not.
         fs::write(
-            &manifest,
-            text.replace("\"schema_version\":1", "\"schema_version\":999"),
+            dir.join(MANIFEST_FILE),
+            format!(
+                "{{\"schema_version\":1,\"kind\":\"pgsd-cache-manifest\",\"entries\":[\
+                 {{\"kind\":\"image\",\"key\":\"{}\",\"bytes\":1}},\
+                 {{\"kind\":\"image\",\"key\":\"{}\",\"bytes\":1}}]}}\n",
+                Key(9).hex(),
+                Key(10).hex()
+            ),
         )
         .unwrap();
+        // Stray temp files and look-alike names are not artifacts.
+        fs::write(dir.join(format!("img-{}.bin.tmp", Key(11).hex())), "x").unwrap();
+        fs::write(dir.join("img-nothex.bin"), "x").unwrap();
         let c = Cache::persistent(&dir).unwrap();
-        assert!(c.get_image(Key(9), &tel).is_none());
-        assert_eq!(c.stats().disk_entries, 0);
-
-        // Unparseable manifest: also cold, not an error.
-        fs::write(&manifest, "{not json").unwrap();
-        let c = Cache::persistent(&dir).unwrap();
-        assert!(c.get_image(Key(9), &tel).is_none());
+        assert_eq!(c.get_image(Key(9), &tel).unwrap().text[0], 9);
+        assert!(c.get_image(Key(10), &tel).is_none());
+        assert!(c.get_image(Key(11), &tel).is_none());
+        let stats = c.stats();
+        assert_eq!(stats.disk_entries, 1);
+        let file = dir.join(format!("img-{}.bin", Key(9).hex()));
+        assert_eq!(stats.disk_bytes, fs::metadata(file).unwrap().len());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -888,8 +827,10 @@ mod tests {
             c.put_profile(Key(2), sample_profile(), &tel);
         }
         fs::write(dir.join("unrelated.txt"), "keep me").unwrap();
+        // A manifest left by an older version.
+        fs::write(dir.join(MANIFEST_FILE), "{}").unwrap();
         let removed = Cache::clear_dir(&dir).unwrap();
-        assert_eq!(removed, 3, "2 artifacts + manifest");
+        assert_eq!(removed, 3, "2 artifacts + legacy manifest");
         assert!(dir.join("unrelated.txt").exists());
         assert_eq!(Cache::clear_dir(&dir).unwrap(), 0);
         // Clearing a directory that never existed is fine.
@@ -918,12 +859,18 @@ mod tests {
             c.ledger_put(sample_record("aa", 7), &tel);
             c.ledger_put(sample_record("aa", 7), &tel); // duplicate: no-op
             c.ledger_put(sample_record("bb", 8), &tel);
-            c.flush_ledger();
-            c.flush_ledger(); // clean: skipped
+            c.flush_ledger(&tel);
+            c.flush_ledger(&tel); // clean: skipped
         }
         let snap = tel.snapshot();
         assert_eq!(snap.counters.get("ledger.records"), Some(&2));
         assert_eq!(snap.counters.get("ledger.bytes"), Some(&8));
+        let file_len = fs::metadata(dir.join(LEDGER_FILE)).unwrap().len();
+        assert_eq!(
+            snap.counters.get("cache.bytes_written{kind=ledger}"),
+            Some(&file_len),
+            "one append wrote the whole file"
+        );
         let c = Cache::persistent(&dir).unwrap();
         assert_eq!(c.ledger_get("aa").unwrap().seed, 7);
         assert_eq!(c.ledger_get("bb").unwrap().seed, 8);
@@ -941,14 +888,16 @@ mod tests {
         {
             let c = Cache::persistent(&dir).unwrap();
             c.ledger_put(sample_record("aa", 1), &tel);
-            c.flush_ledger();
+            c.flush_ledger(&tel);
         }
         let path = dir.join(LEDGER_FILE);
         let text = fs::read_to_string(&path).unwrap();
+        let version = format!("\"schema_version\":{LEDGER_SCHEMA_VERSION}");
+        assert!(text.contains(&version));
         for bad in [
             "{truncated".to_string(),
             text[..text.len() / 2].to_string(),
-            text.replace("\"schema_version\":1", "\"schema_version\":42"),
+            text.replace(&version, "\"schema_version\":42"),
             text.replace(LEDGER_KIND, "wrong-kind"),
         ] {
             fs::write(&path, &bad).unwrap();
@@ -957,7 +906,7 @@ mod tests {
             assert_eq!(c.stats().ledger_records, 0);
             // And the cold ledger can be refilled + reflushed.
             c.ledger_put(sample_record("aa", 1), &tel);
-            c.flush_ledger();
+            c.flush_ledger(&tel);
         }
         let c = Cache::persistent(&dir).unwrap();
         assert_eq!(c.ledger_get("aa").unwrap().seed, 1);
@@ -969,7 +918,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let c = Cache::in_memory();
         c.ledger_put(sample_record("aa", 3), &tel);
-        c.flush_ledger(); // no disk: no-op, no panic
+        c.flush_ledger(&tel); // no disk: no-op, no panic
         assert_eq!(c.ledger_get("aa").unwrap().seed, 3);
         let d = Cache::disabled();
         d.ledger_put(sample_record("aa", 3), &tel);
@@ -983,12 +932,126 @@ mod tests {
         {
             let c = Cache::persistent(&dir).unwrap();
             c.ledger_put(sample_record("aa", 1), &tel);
-            c.flush_ledger();
+            c.flush_ledger(&tel);
         }
         assert!(dir.join(LEDGER_FILE).exists());
-        // Only ledger.json: no artifact was stored, so no manifest.
+        // Only ledger.json: no artifact was stored.
         assert_eq!(Cache::clear_dir(&dir).unwrap(), 1);
         assert!(!dir.join(LEDGER_FILE).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_ledger_document_migrates_to_the_log() {
+        let dir = tdir("ledger-v1");
+        fs::create_dir_all(&dir).unwrap();
+        // What version 1 wrote: one document holding every record.
+        fs::write(
+            dir.join(LEDGER_FILE),
+            "{\"schema_version\":1,\"kind\":\"pgsd-variant-ledger\",\"records\":[\
+             {\"variant_id\":\"aa\",\"seed\":7,\"transforms\":\"nop\",\
+             \"module_key\":\"00000000deadbeef\",\"config\":\"0000000012345678\",\
+             \"profile\":\"\",\"addr_map\":\"01020304\"}]}\n",
+        )
+        .unwrap();
+        let tel = Telemetry::enabled();
+        let c = Cache::persistent(&dir).unwrap();
+        assert_eq!(c.ledger_get("aa"), Some(sample_record("aa", 7)));
+        let text = fs::read_to_string(dir.join(LEDGER_FILE)).unwrap();
+        assert!(
+            text.starts_with("{\"schema_version\":2,\"kind\":\"pgsd-variant-ledger\"}\n"),
+            "rewritten as a log: {text}"
+        );
+        assert_eq!(text.lines().count(), 2, "header + one record");
+        // The compaction is counted with the next flush.
+        c.ledger_put(sample_record("bb", 8), &tel);
+        c.flush_ledger(&tel);
+        let len = fs::metadata(dir.join(LEDGER_FILE)).unwrap().len();
+        assert_eq!(
+            tel.snapshot()
+                .counters
+                .get("cache.bytes_written{kind=ledger}"),
+            Some(&len)
+        );
+        let c = Cache::persistent(&dir).unwrap();
+        assert_eq!(c.ledger_get("aa"), Some(sample_record("aa", 7)));
+        assert_eq!(c.ledger_get("bb"), Some(sample_record("bb", 8)));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flushing_one_record_at_a_time_writes_each_byte_once() {
+        let dir = tdir("ledger-amplification");
+        let tel = Telemetry::enabled();
+        let c = Cache::persistent(&dir).unwrap();
+        for i in 0..200u64 {
+            c.ledger_put(sample_record(&format!("{i:04x}"), i), &tel);
+            c.flush_ledger(&tel);
+        }
+        let written = tel.snapshot().counters["cache.bytes_written{kind=ledger}"];
+        let size = fs::metadata(dir.join(LEDGER_FILE)).unwrap().len();
+        assert!(
+            written * 10 <= size * 11,
+            "{written} bytes written for a {size}-byte ledger"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The truncation gate: a ledger log cut at every byte offset
+    /// reopens without panicking, keeps exactly its complete records
+    /// (each equal to what was put), and takes clean appends after the
+    /// open's compaction.
+    #[test]
+    fn a_ledger_log_truncated_anywhere_keeps_its_complete_records() {
+        let dir = tdir("ledger-truncate");
+        let tel = Telemetry::disabled();
+        let records: Vec<LedgerRecord> = (0..5u8)
+            .map(|i| LedgerRecord {
+                addr_map: vec![i; 3 + i as usize],
+                ..sample_record(&format!("{i:02x}"), u64::from(i))
+            })
+            .collect();
+        {
+            let c = Cache::persistent(&dir).unwrap();
+            for r in &records {
+                c.ledger_put(r.clone(), &tel);
+                c.flush_ledger(&tel);
+            }
+        }
+        let path = dir.join(LEDGER_FILE);
+        let full = fs::read(&path).unwrap();
+        // Offset just past each line: the header's, then each record's.
+        let ends: Vec<usize> = (0..full.len())
+            .filter(|&i| full[i] == b'\n')
+            .map(|i| i + 1)
+            .collect();
+        assert_eq!(ends.len(), 1 + records.len());
+        let extra = sample_record("ff", 99);
+        for cut in 0..=full.len() {
+            fs::write(&path, &full[..cut]).unwrap();
+            let c = Cache::persistent(&dir).unwrap();
+            let mut kept = 0;
+            for (r, &end) in records.iter().zip(&ends[1..]) {
+                let got = c.ledger_get(&r.variant_id);
+                if end <= cut {
+                    assert_eq!(got.as_ref(), Some(r), "cut at {cut}");
+                    kept += 1;
+                } else {
+                    assert_eq!(got, None, "cut at {cut}: torn record served");
+                }
+            }
+            c.ledger_put(extra.clone(), &tel);
+            c.flush_ledger(&tel);
+            let appended = fs::read(&path).unwrap();
+            let c = Cache::persistent(&dir).unwrap();
+            assert_eq!(c.ledger_get("ff"), Some(extra.clone()), "cut at {cut}");
+            assert_eq!(c.stats().ledger_records, kept + 1, "cut at {cut}");
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                appended,
+                "cut at {cut}: the append left a clean log"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

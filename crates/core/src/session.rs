@@ -146,15 +146,40 @@ fn config_fingerprint(h: &mut Fnv64, config: &BuildConfig) {
 /// whenever a profile is present for a diversifying build — a coarser
 /// rule than "the strategy consults it", which can only cause extra
 /// misses, never stale hits.
-fn image_key(module_key: Key, config: &BuildConfig, profile: Option<&Profile>) -> Key {
+fn image_key(module_key: Key, config: &BuildConfig, profile: Option<&Guide>) -> Key {
     let mut h = keyer("image");
     h.write_u64(module_key.0);
     config_fingerprint(&mut h, config);
     match profile {
-        Some(p) if is_diversifying(config) => h.write_str(&p.to_text()),
-        _ => h.write_str(""),
+        Some(g) if is_diversifying(config) => {
+            h.write_u64(1);
+            h.write_u64(g.key.0);
+        }
+        _ => h.write_u64(0),
     }
     h.key()
+}
+
+/// A profile together with its content fingerprint, which is computed
+/// once when the profile is set: serializing a large profile costs
+/// milliseconds, and every profile-guided build needs the fingerprint
+/// for its image key and ledger record.
+#[derive(Clone)]
+struct Guide {
+    profile: Arc<Profile>,
+    /// `profile/content` key of the profile's text rendering.
+    key: Key,
+}
+
+impl Guide {
+    fn new(profile: Arc<Profile>) -> Guide {
+        let mut h = keyer("profile/content");
+        h.write_str(&profile.to_text());
+        Guide {
+            key: h.key(),
+            profile,
+        }
+    }
 }
 
 /// Key of a training profile: module × inputs × gas.
@@ -228,7 +253,7 @@ pub struct Session {
     name: String,
     source: Option<String>,
     module: ModuleSlot,
-    profile: Mutex<Option<Arc<Profile>>>,
+    profile: Mutex<Option<Guide>>,
     config: BuildConfig,
     threads: usize,
     cache: Cache,
@@ -282,8 +307,26 @@ impl Session {
     /// Sets the active profile consulted by profile-guided strategies.
     /// ([`Session::train`] sets it automatically.)
     pub fn profile(self, profile: impl Into<Arc<Profile>>) -> Session {
-        *self.profile.lock().unwrap() = Some(profile.into());
+        self.set_profile(profile.into());
         self
+    }
+
+    /// Makes `profile` the active one. Re-setting the profile already
+    /// active (a memoized [`Session::train`], once per request in the
+    /// daemon) keeps its fingerprint instead of recomputing it.
+    fn set_profile(&self, profile: Arc<Profile>) {
+        if self
+            .guide()
+            .is_some_and(|g| Arc::ptr_eq(&g.profile, &profile))
+        {
+            return;
+        }
+        let guide = Guide::new(profile);
+        *self.profile.lock().unwrap() = Some(guide);
+    }
+
+    fn guide(&self) -> Option<Guide> {
+        self.profile.lock().unwrap().clone()
     }
 
     /// Sets the build configuration ([`BuildConfig::baseline`] if never
@@ -336,7 +379,7 @@ impl Session {
 
     /// The active profile, if trained or supplied.
     pub fn active_profile(&self) -> Option<Arc<Profile>> {
-        self.profile.lock().unwrap().clone()
+        self.guide().map(|g| g.profile)
     }
 
     fn resolve(&self) -> Result<(&Arc<Module>, Key)> {
@@ -403,19 +446,19 @@ impl Session {
     /// As [`Session::build`].
     pub fn build_with(&self, config: &BuildConfig) -> Result<Image> {
         let (module, mkey) = self.resolve()?;
-        let profile = self.active_profile();
-        let image = build_cached(module, mkey, profile.as_deref(), config, &self.cache)?;
+        let profile = self.guide();
+        let image = build_cached(module, mkey, profile.as_ref(), config, &self.cache)?;
         if self.ledger && is_diversifying(config) {
             record_ledger(
                 module,
                 mkey,
-                profile.as_deref(),
+                profile.as_ref(),
                 config,
                 &image,
                 &self.cache,
                 &config.telemetry,
             )?;
-            self.cache.flush_ledger();
+            self.cache.flush_ledger(&config.telemetry);
         }
         Ok(image)
     }
@@ -439,7 +482,7 @@ impl Session {
         let _span = tel.span("train");
         let pkey = profile_key(mkey, train_inputs, gas);
         if let Some(profile) = self.cache.get_profile(pkey, &tel) {
-            *self.profile.lock().unwrap() = Some(Arc::clone(&profile));
+            self.set_profile(Arc::clone(&profile));
             return Ok(profile);
         }
         let profile = Arc::new(train_cold(
@@ -452,7 +495,7 @@ impl Session {
             &self.cache,
         )?);
         self.cache.put_profile(pkey, Arc::clone(&profile), &tel);
-        *self.profile.lock().unwrap() = Some(Arc::clone(&profile));
+        self.set_profile(Arc::clone(&profile));
         Ok(profile)
     }
 
@@ -511,7 +554,7 @@ impl Session {
         let (module, mkey) = self.resolve()?;
         let tel = &self.config.telemetry;
         let _span = tel.span("population");
-        let profile = self.active_profile();
+        let profile = self.guide();
         if !self.config.reg_randomize {
             lowered_cached(module, mkey, None, &self.cache, tel)?;
         }
@@ -532,13 +575,13 @@ impl Session {
             let mut config = self.config.clone();
             config.seed = seed_base + i as u64;
             config.telemetry = child.clone();
-            let result = build_cached(module, mkey, profile.as_deref(), &config, &self.cache)
+            let result = build_cached(module, mkey, profile.as_ref(), &config, &self.cache)
                 .and_then(|image| {
                     if record {
                         record_ledger(
                             module,
                             mkey,
-                            profile.as_deref(),
+                            profile.as_ref(),
                             &config,
                             &image,
                             &self.cache,
@@ -555,7 +598,7 @@ impl Session {
             images.push(result?);
         }
         if record {
-            self.cache.flush_ledger();
+            self.cache.flush_ledger(tel);
         }
         Ok(images)
     }
@@ -642,7 +685,7 @@ impl Session {
         let (module, mkey) = self.resolve()?;
         let tel = &self.config.telemetry;
         let _span = tel.span("audit");
-        let profile = self.active_profile();
+        let profile = self.guide();
         let baseline_config = BuildConfig {
             telemetry: tel.clone(),
             ..BuildConfig::baseline()
@@ -665,7 +708,7 @@ impl Session {
             config.seed = seed_base + i as u64;
             config.telemetry = child.clone();
             let result =
-                build_cached(module, mkey, profile.as_deref(), &config, &self.cache).map(|image| {
+                build_cached(module, mkey, profile.as_ref(), &config, &self.cache).map(|image| {
                     let rep = survivor(&baseline.text, &image.text, &table, &scan);
                     let audit = audit_image(&image, &rep.survivors);
                     child.add("audit.variants", 1);
@@ -864,7 +907,7 @@ pub fn transforms_label(t: &Transforms) -> String {
 fn record_ledger(
     module: &Module,
     mkey: Key,
-    profile: Option<&Profile>,
+    profile: Option<&Guide>,
     config: &BuildConfig,
     image: &Image,
     cache: &Cache,
@@ -884,12 +927,8 @@ fn record_ledger(
             diags.first().map_or(String::new(), |d| d.message.clone()),
         ))
     })?;
-    let mut pkey = keyer("profile/content");
     let profile_hex = match profile {
-        Some(p) if is_diversifying(config) => {
-            pkey.write_str(&p.to_text());
-            pkey.key().hex()
-        }
+        Some(g) if is_diversifying(config) => g.key.hex(),
         _ => String::new(),
     };
     let mut ckey = keyer("config");
@@ -933,13 +972,14 @@ fn lowered_cached(
 fn build_cached(
     module: &Module,
     mkey: Key,
-    profile: Option<&Profile>,
+    profile: Option<&Guide>,
     config: &BuildConfig,
     cache: &Cache,
 ) -> Result<Image> {
     let tel = &config.telemetry;
     let _build_span = tel.span("build");
-    require_profile(config, profile)?;
+    let consulted = profile.map(|g| &*g.profile);
+    require_profile(config, consulted)?;
     let diversifying = is_diversifying(config);
     let ikey = image_key(mkey, config, profile);
     if let Some(hit) = cache.get_image(ikey, tel) {
@@ -957,7 +997,7 @@ fn build_cached(
     let lowered = lowered_cached(module, mkey, reg_seed, cache, tel)?;
     let image = if diversifying {
         let mut funcs = (*lowered).clone();
-        apply_diversity(&mut funcs, profile, config);
+        apply_diversity(&mut funcs, consulted, config);
         emit_image_with(&funcs, module, tel)?
     } else {
         emit_image_with(&lowered, module, tel)?
@@ -1135,6 +1175,34 @@ mod tests {
     }
 
     #[test]
+    fn the_profile_fingerprint_keys_images_and_ledger_records() {
+        let session = Session::from_source("t", SRC)
+            .config(BuildConfig::diversified(Strategy::range(0.0, 0.3), 2))
+            .ledger(true);
+        let p1 = session.train(&[Input::args(&[100])], DEFAULT_GAS).unwrap();
+        let image = session.build().unwrap();
+        let record = session
+            .cache_handle()
+            .ledger_get(&variant_id(&image))
+            .unwrap();
+        let mut content = keyer("profile/content");
+        content.write_str(&p1.to_text());
+        assert_eq!(record.profile, content.key().hex());
+        // Another profile is another image key, so the build is not a
+        // stale hit; returning to the first profile hits again.
+        session.train(&[Input::args(&[5])], DEFAULT_GAS).unwrap();
+        let other = session.build().unwrap();
+        assert_ne!(other, image);
+        session.train(&[Input::args(&[100])], DEFAULT_GAS).unwrap();
+        assert_eq!(session.build().unwrap(), image);
+        let cold = Session::from_source("t", SRC)
+            .config(BuildConfig::diversified(Strategy::range(0.0, 0.3), 2))
+            .cache(Cache::disabled())
+            .profile(p1);
+        assert_eq!(cold.build().unwrap(), image, "keys change no image byte");
+    }
+
+    #[test]
     fn profiled_strategy_requires_profile() {
         let session = Session::from_source("t", SRC)
             .config(BuildConfig::diversified(Strategy::range(0.1, 0.5), 1));
@@ -1308,6 +1376,48 @@ mod tests {
             mk(4, "t4"),
             "ledger.json must be byte-identical at any thread count"
         );
+    }
+
+    #[test]
+    fn a_v1_ledger_migrates_and_still_symbolicates() {
+        let dir =
+            std::env::temp_dir().join(format!("pgsd-session-ledger-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Session::from_source("t", SRC_DIV)
+                .config(BuildConfig::diversified(Strategy::uniform(0.5), 3))
+                .cache(Cache::persistent(&dir).unwrap())
+                .ledger(true)
+        };
+        let image = open().build().unwrap();
+        let id = variant_id(&image);
+        let r = open().cache_handle().ledger_get(&id).unwrap();
+        // Replace the ledger with the single document version 1 wrote.
+        let hex: String = r.addr_map.iter().map(|b| format!("{b:02x}")).collect();
+        let v1 = format!(
+            "{{\"schema_version\":1,\"kind\":\"pgsd-variant-ledger\",\"records\":[\
+             {{\"variant_id\":\"{}\",\"seed\":{},\"transforms\":\"{}\",\"module_key\":\"{}\",\
+             \"config\":\"{}\",\"profile\":\"{}\",\"addr_map\":\"{hex}\"}}]}}\n",
+            r.variant_id, r.seed, r.transforms, r.module_key, r.config, r.profile
+        );
+        let path = dir.join(pgsd_cache::LEDGER_FILE);
+        std::fs::write(&path, v1).unwrap();
+        let session = open();
+        let crash = session.run(&image, &Input::args(&[0]), 1_000_000, "var");
+        let Exit::DivideError { addr: pc } = crash.exit else {
+            panic!("variant should divide by zero: {:?}", crash.exit);
+        };
+        let sym = session
+            .symbolicate(&id, pc)
+            .unwrap()
+            .expect("migrated record symbolicates");
+        assert_eq!(sym.seed, 3);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.starts_with("{\"schema_version\":2,"),
+            "migrated: {text}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

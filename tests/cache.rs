@@ -180,8 +180,8 @@ fn corrupt_artifact_falls_back_to_cold_build() {
         .unwrap()
         .text;
 
-    // Trash every image artifact on disk (keep the manifest intact, so
-    // the store still *claims* to have the entry).
+    // Trash every image artifact on disk in place (same name and length,
+    // so the directory scan still *claims* to have the entry).
     let mut trashed = 0;
     for entry in fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();

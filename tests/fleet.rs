@@ -147,11 +147,10 @@ fn a_corrupt_ledger_degrades_to_a_symbolicate_miss() {
     let text = fs::read_to_string(&ledger).expect("ledger was persisted");
     assert!(text.contains(&vid), "ledger holds the variant record");
 
-    fs::write(
-        &ledger,
-        text.replace("\"schema_version\":1", "\"schema_version\":99"),
-    )
-    .expect("can corrupt ledger");
+    let version = format!("\"schema_version\":{}", pgsd::cache::LEDGER_SCHEMA_VERSION);
+    assert!(text.contains(&version), "ledger header carries the schema");
+    fs::write(&ledger, text.replace(&version, "\"schema_version\":99"))
+        .expect("can corrupt ledger");
     let out = pgsd(
         &[
             "symbolicate",
