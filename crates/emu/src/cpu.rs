@@ -48,10 +48,18 @@ impl Flags {
     }
 }
 
+/// Index of the register file's hard-wired zero slot, after the eight
+/// general-purpose registers. A pre-decoded memory operand with no base
+/// or no index register names this slot, so its address computation
+/// needs no branch.
+pub(crate) const ZERO: u8 = 8;
+
 /// Register file plus instruction pointer and flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cpu {
-    regs: [u32; 8],
+    /// The eight general-purpose registers, then the [`ZERO`] slot, which
+    /// nothing writes.
+    regs: [u32; 9],
     /// Instruction pointer.
     pub eip: u32,
     /// Arithmetic flags.
@@ -74,6 +82,12 @@ impl Cpu {
     #[inline]
     pub fn set(&mut self, r: Reg, v: u32) {
         self.regs[r.number() as usize] = v;
+    }
+
+    /// Reads a register-file slot: a register number, or [`ZERO`].
+    #[inline]
+    pub(crate) fn slot(&self, i: u8) -> u32 {
+        self.regs[usize::from(i)]
     }
 }
 

@@ -1,28 +1,40 @@
 //! The execution engine.
 //!
-//! A straightforward decode-and-dispatch interpreter over the modeled
-//! instruction subset, with a per-address decode cache (text is
-//! write-protected, so cached decodings can never go stale). The cache is
-//! a flat lazily-filled `Vec<Option<(Inst, u8)>>` indexed by offset from
-//! the text base — a single bounds-checked array access on the hot path
-//! where a `HashMap` lookup used to hash every retired instruction;
-//! addresses outside the text segment fall back to the full
-//! fetch-and-decode path. W⊕X makes the cache sound: text is never
-//! writable, so a cached decoding can only go stale if something pierces
-//! protection with `Memory::write_bytes_unchecked` between executions —
-//! exactly the situation the previous `HashMap` cache (which was also
-//! never invalidated) had, so the staleness contract is unchanged.
-//! Every executed instruction is
-//! charged against the [`CostModel`]; the resulting cycle count is the
-//! substitute for the paper's wall-clock SPEC measurements.
+//! A pre-decoding block interpreter over the modeled instruction subset.
+//! The first time execution enters the text segment at an address, the
+//! straight-line run of instructions from there — up to and including the
+//! first control transfer, `int` or `hlt`, at most 64 — is decoded once
+//! into a *block* of µops: operands resolved to register-file slots,
+//! branch targets made absolute, and each instruction's class, base cost,
+//! slack behaviour and length moved into a static per-µop charge. A flat table indexed by text offset maps each entry
+//! address to its block; an address outside the text segment is a fetch
+//! fault, since text is the only executable segment.
+//!
+//! Executing a block is one tight loop over its µops. Only what depends
+//! on the run is charged as it happens: NOPs hiding in banked stall
+//! slack, d-cache accesses, and taken or fall-through branches. Everything
+//! else a block costs is charged in bulk, by counting its complete
+//! executions and folding the counts into [`RunStats`] when [`Emulator::run`]
+//! returns. A run that stops inside a block — a fault, `hlt`, the exit or
+//! a bad syscall, or the gas running out — retires exactly the µops up to
+//! and including the stopping one (none past the last gas allows) and
+//! leaves `eip` after it, as per-instruction stepping would. The cycle
+//! count is the substitute for the paper's wall-clock SPEC measurements.
+//!
+//! W⊕X makes the decoding sound: text is never writable, so a block can
+//! only go stale if something pierces protection with
+//! `Memory::write_bytes_unchecked` between runs. A block is decoded whole
+//! on its first entry, so such a write is seen by code first entered
+//! after it and missed by blocks already decoded, instructions not yet
+//! executed included.
 
 use std::sync::Arc;
 
 use pgsd_x86::nop::NopKind;
-use pgsd_x86::{decode, AluOp, Body, Inst, Mem, Reg, ShiftOp};
+use pgsd_x86::{decode, AluOp, Body, Cond, Inst, Mem, Reg, ShiftOp};
 
 use crate::cost::CostModel;
-use crate::cpu::Cpu;
+use crate::cpu::{Cpu, ZERO};
 use crate::mem::{Fault, Memory};
 
 /// Why execution stopped.
@@ -258,23 +270,330 @@ pub struct Emulator {
     pub cpu: Cpu,
     /// Address space.
     pub mem: Memory,
-    /// Cycle cost model.
-    pub cost: CostModel,
     /// Statistics for the current run.
     pub stats: RunStats,
-    /// Flat decode cache: slot `i` holds the decoded instruction at
-    /// `text_base + i`, filled lazily on first execution.
-    decode_cache: Vec<Option<(Inst, u8)>>,
-    text_base: u32,
+    /// Cycle cost model. Decoded blocks bake its values in, so it is
+    /// fixed for the emulator's lifetime.
+    cost: CostModel,
+    code: Code,
     fetch_accum: u32,
     slack: u64,
     /// Direct-mapped L1d tags (index = set, value = tag+1; 0 = empty).
-    dcache: Vec<u32>,
+    dcache: Box<[u32]>,
 }
 
 /// Syscall numbers understood by the `int 0x80` gate.
 const SYS_EXIT: u32 = 1;
 const SYS_PRINT: u32 = 4;
+
+/// Most instructions in one block; a longer straight-line run continues
+/// in the next block.
+const MAX_BLOCK: usize = 64;
+
+/// The decoded program: blocks of µops, found by their entry address.
+#[derive(Debug, Default)]
+struct Code {
+    /// Address of `entry[0]`: the text base.
+    base: u32,
+    /// One slot per text byte: 1 + the index of the block entered at that
+    /// address, or 0 while none has been decoded there.
+    entry: Vec<u32>,
+    blocks: Vec<Block>,
+    /// Every block's µops, contiguous per block.
+    uops: Vec<Op>,
+    /// What retiring each µop charges, parallel to `uops`.
+    charges: Vec<Charge>,
+}
+
+impl Code {
+    /// The block entered at `pc`, decoded on first entry.
+    fn block_at(&mut self, pc: u32, mem: &Memory, cost: &CostModel) -> Result<usize, Exit> {
+        let off = pc.wrapping_sub(self.base) as usize;
+        match self.entry.get(off) {
+            Some(0) => self.decode_block(pc, off, mem, cost),
+            Some(&id) => Ok(id as usize - 1),
+            None => Err(Exit::Fault {
+                pc,
+                fault: mem
+                    .fetch(pc, 1)
+                    .expect_err("only the text segment is executable"),
+            }),
+        }
+    }
+
+    /// Decodes the block entered at `pc`, text offset `off`. Bytes that do
+    /// not decode end the block before them; only when they are its first
+    /// instruction is that the exit.
+    #[cold]
+    fn decode_block(
+        &mut self,
+        pc: u32,
+        off: usize,
+        mem: &Memory,
+        cost: &CostModel,
+    ) -> Result<usize, Exit> {
+        let first = self.uops.len();
+        let mut at = pc;
+        while self.uops.len() - first < MAX_BLOCK {
+            // Fails only past the end of the text segment.
+            let Ok(bytes) = mem.fetch(at, 16) else {
+                break;
+            };
+            let (inst, len) = match decode(bytes) {
+                Ok(d) => match d.body {
+                    Body::Known(inst) => (inst, d.len as u8),
+                    Body::Other(o) if at == pc => {
+                        return Err(Exit::Unsupported {
+                            addr: pc,
+                            name: o.name,
+                        })
+                    }
+                    Body::Other(_) => break,
+                },
+                Err(_) if at == pc => return Err(Exit::InvalidInstruction { addr: pc }),
+                Err(_) => break,
+            };
+            at = at.wrapping_add(u32::from(len));
+            let op = Op::of(&inst, at, cost);
+            self.uops.push(op);
+            self.charges.push(Charge::of(&inst, len, cost));
+            if op.ends_block() {
+                break;
+            }
+        }
+        let id = self.blocks.len();
+        self.blocks.push(Block {
+            pc,
+            end: at,
+            first: first as u32,
+            len: (self.uops.len() - first) as u32,
+            runs: 0,
+        });
+        self.entry[off] = id as u32 + 1;
+        Ok(id)
+    }
+}
+
+/// A straight-line run of instructions: up to and including the first
+/// control transfer, `int` or `hlt`.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Address of the first instruction.
+    pc: u32,
+    /// Address after the last instruction, where execution falls through.
+    end: u32,
+    /// Index of the first µop in [`Code::uops`].
+    first: u32,
+    /// Number of µops, one per instruction.
+    len: u32,
+    /// Complete executions not yet folded into the statistics.
+    runs: u64,
+}
+
+/// What retiring one instruction charges whatever values it computes.
+/// Slack-hidden NOPs, d-cache accesses and branch outcomes depend on the
+/// run and are charged as they happen instead.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    class: InstClass,
+    /// Encoded length: bytes consumed from the fetch window.
+    len: u8,
+    /// A plain `nop`, counted in [`RunStats::nops_retired`].
+    nop: bool,
+    /// Base cycles; 0 for a NOP that may hide in slack.
+    cycles: u64,
+}
+
+impl Charge {
+    fn of(inst: &Inst, len: u8, cost: &CostModel) -> Charge {
+        use Inst::*;
+        Charge {
+            class: InstClass::of(inst),
+            len,
+            nop: matches!(inst, Nop(NopKind::Nop)),
+            cycles: if cost.hides_in_slack(inst) {
+                0
+            } else {
+                cost.cost(inst)
+            },
+        }
+    }
+}
+
+/// A memory operand with its registers resolved to register-file slots:
+/// `disp + slot[base] + (slot[index] << shift)`, an absent register
+/// naming the [`ZERO`] slot.
+#[derive(Debug, Clone, Copy)]
+struct Ea {
+    disp: u32,
+    base: u8,
+    index: u8,
+    shift: u8,
+}
+
+impl Ea {
+    fn of(m: &Mem) -> Ea {
+        let (index, shift) = m.index.map_or((ZERO, 0), |(r, s)| (r.number(), s as u8));
+        Ea {
+            disp: m.disp as u32,
+            base: m.base.map_or(ZERO, Reg::number),
+            index,
+            shift,
+        }
+    }
+}
+
+/// One pre-decoded instruction: operands resolved, jump targets made
+/// absolute, costs moved to its [`Charge`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// A NOP form that retires free while banked slack lasts and costs
+    /// this many cycles otherwise. Every form [`CostModel::hides_in_slack`]
+    /// accepts is an architectural no-op.
+    Hide(u64),
+    /// A NOP form that never hides (the bus-locking `xchg` forms).
+    Nop,
+    MovRI(Reg, u32),
+    MovRR(Reg, Reg),
+    Load(Reg, Ea),
+    Store(Ea, Reg),
+    StoreI(Ea, u32),
+    AluRR(AluOp, Reg, Reg),
+    AluRI(AluOp, Reg, u32),
+    AluRM(AluOp, Reg, Ea),
+    AluMR(AluOp, Ea, Reg),
+    AluMI(AluOp, Ea, u32),
+    Test(Reg, Reg),
+    ImulRR(Reg, Reg),
+    ImulRM(Reg, Ea),
+    ImulRRI(Reg, Reg, i32),
+    Cdq,
+    /// `idiv` and the slack it banks.
+    Idiv(Reg, u64),
+    Neg(Reg),
+    Not(Reg),
+    Inc(Reg),
+    Dec(Reg),
+    IncDecM(bool, Ea),
+    ShiftRI(ShiftOp, Reg, u8),
+    ShiftRCl(ShiftOp, Reg),
+    Push(Reg),
+    PushI(u32),
+    PushM(Ea),
+    Pop(Reg),
+    Lea(Reg, Ea),
+    Xchg(Reg, Reg),
+    /// Target, return address.
+    Call(u32, u32),
+    /// Target register, return address.
+    CallR(Reg, u32),
+    /// Extra bytes popped after the return address.
+    Ret(u16),
+    Jmp(u32),
+    JmpR(Reg),
+    Jcc(Cond, u32),
+    Int(u8),
+    Hlt,
+}
+
+impl Op {
+    /// Pre-decodes `inst`, whose next instruction is at `next`.
+    fn of(inst: &Inst, next: u32, cost: &CostModel) -> Op {
+        use Inst::*;
+        if cost.hides_in_slack(inst) {
+            return Op::Hide(cost.cost(inst));
+        }
+        let rel = |d: i32| next.wrapping_add(d as u32);
+        match *inst {
+            MovRI(d, v) => Op::MovRI(d, v as u32),
+            MovRR(d, s) => Op::MovRR(d, s),
+            MovRM(d, ref m) => Op::Load(d, Ea::of(m)),
+            MovMR(ref m, s) => Op::Store(Ea::of(m), s),
+            MovMI(ref m, v) => Op::StoreI(Ea::of(m), v as u32),
+            AluRR(op, d, s) => Op::AluRR(op, d, s),
+            AluRI(op, d, v) => Op::AluRI(op, d, v as u32),
+            AluRM(op, d, ref m) => Op::AluRM(op, d, Ea::of(m)),
+            AluMR(op, ref m, s) => Op::AluMR(op, Ea::of(m), s),
+            AluMI(op, ref m, v) => Op::AluMI(op, Ea::of(m), v as u32),
+            TestRR(a, b) => Op::Test(a, b),
+            ImulRR(d, s) => Op::ImulRR(d, s),
+            ImulRM(d, ref m) => Op::ImulRM(d, Ea::of(m)),
+            ImulRRI(d, s, v) => Op::ImulRRI(d, s, v),
+            Cdq => Op::Cdq,
+            IdivR(r) => Op::Idiv(r, cost.slack_produced(inst)),
+            NegR(r) => Op::Neg(r),
+            NotR(r) => Op::Not(r),
+            IncR(r) => Op::Inc(r),
+            DecR(r) => Op::Dec(r),
+            IncDecM(inc, ref m) => Op::IncDecM(inc, Ea::of(m)),
+            ShiftRI(op, r, c) => Op::ShiftRI(op, r, c),
+            ShiftRCl(op, r) => Op::ShiftRCl(op, r),
+            PushR(r) => Op::Push(r),
+            PushI(v) => Op::PushI(v as u32),
+            PushM(ref m) => Op::PushM(Ea::of(m)),
+            PopR(r) => Op::Pop(r),
+            Lea(r, ref m) => Op::Lea(r, Ea::of(m)),
+            XchgRR(a, b) => Op::Xchg(a, b),
+            CallRel(d) => Op::Call(rel(d), next),
+            CallR(r) => Op::CallR(r, next),
+            Ret => Op::Ret(0),
+            RetImm(n) => Op::Ret(n),
+            JmpRel(d) => Op::Jmp(rel(d)),
+            JmpRel8(d) => Op::Jmp(rel(i32::from(d))),
+            JmpR(r) => Op::JmpR(r),
+            Jcc(cc, d) => Op::Jcc(cc, rel(d)),
+            Jcc8(cc, d) => Op::Jcc(cc, rel(i32::from(d))),
+            Int(v) => Op::Int(v),
+            Nop(_) => Op::Nop,
+            Hlt => Op::Hlt,
+        }
+    }
+
+    /// Whether the block ends after this µop: it may transfer control,
+    /// enter the kernel or halt.
+    fn ends_block(self) -> bool {
+        matches!(
+            self,
+            Op::Call(..)
+                | Op::CallR(..)
+                | Op::Ret(_)
+                | Op::Jmp(_)
+                | Op::JmpR(_)
+                | Op::Jcc(..)
+                | Op::Int(_)
+                | Op::Hlt
+        )
+    }
+}
+
+/// Why a µop stopped the program; [`Trap::at`] adds its address.
+enum Trap {
+    Fault(Fault),
+    Divide,
+    Halt,
+    Exit(i32),
+    BadSyscall(u32),
+    Unsupported(&'static str),
+}
+
+impl From<Fault> for Trap {
+    fn from(f: Fault) -> Trap {
+        Trap::Fault(f)
+    }
+}
+
+impl Trap {
+    fn at(self, addr: u32) -> Exit {
+        match self {
+            Trap::Fault(fault) => Exit::Fault { pc: addr, fault },
+            Trap::Divide => Exit::DivideError { addr },
+            Trap::Halt => Exit::Halted { addr },
+            Trap::Exit(status) => Exit::Exited(status),
+            Trap::BadSyscall(eax) => Exit::BadSyscall { addr, eax },
+            Trap::Unsupported(name) => Exit::Unsupported { addr, name },
+        }
+    }
+}
 
 impl Emulator {
     /// Creates an emulator for a loaded program.
@@ -293,17 +612,28 @@ impl Emulator {
         let mem = Memory::new(text_base, text, data_base, data.into(), stack_top);
         let mut cpu = Cpu::new();
         cpu.set(Reg::Esp, stack_top);
+        let cost = CostModel::default();
         Emulator {
             cpu,
             mem,
-            cost: CostModel::default(),
             stats: RunStats::default(),
-            decode_cache: vec![None; text_len],
-            text_base,
+            dcache: vec![0; 1 << cost.cache_sets_log2].into_boxed_slice(),
+            cost,
+            code: Code {
+                base: text_base,
+                entry: vec![0; text_len],
+                blocks: Vec::new(),
+                uops: Vec::new(),
+                charges: Vec::new(),
+            },
             fetch_accum: 0,
             slack: 0,
-            dcache: Vec::new(),
         }
+    }
+
+    /// The cycle cost model every run is charged against.
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Arranges a call: pushes `args` right-to-left, pushes `ret_addr`,
@@ -317,10 +647,9 @@ impl Emulator {
         self.cpu.eip = entry;
     }
 
-    /// Whether `addr` lies inside the text segment (the decode cache
-    /// covers exactly the text bytes).
+    /// Whether `addr` lies inside the text segment.
     pub(crate) fn in_text(&self, addr: u32) -> bool {
-        (addr.wrapping_sub(self.text_base) as usize) < self.decode_cache.len()
+        (addr.wrapping_sub(self.code.base) as usize) < self.code.entry.len()
     }
 
     /// Pushes a 32-bit value.
@@ -328,6 +657,7 @@ impl Emulator {
     /// # Errors
     ///
     /// Faults if the stack is exhausted.
+    #[inline]
     pub fn push(&mut self, v: u32) -> Result<(), Fault> {
         let sp = self.cpu.get(Reg::Esp).wrapping_sub(4);
         self.mem.write_u32(sp, v)?;
@@ -340,6 +670,7 @@ impl Emulator {
     /// # Errors
     ///
     /// Faults if the stack is unmapped.
+    #[inline]
     pub fn pop(&mut self) -> Result<u32, Fault> {
         let sp = self.cpu.get(Reg::Esp);
         let v = self.mem.read_u32(sp)?;
@@ -349,77 +680,117 @@ impl Emulator {
 
     /// Runs until exit, fault, or `gas` retired instructions.
     pub fn run(&mut self, gas: u64) -> Exit {
-        let budget = self.stats.instructions.saturating_add(gas);
-        loop {
-            if self.stats.instructions >= budget {
-                return Exit::OutOfGas;
+        // Moved out for the run, so the µops it reads cannot alias the
+        // machine state it writes.
+        let mut code = std::mem::take(&mut self.code);
+        let mut left = gas;
+        let exit = loop {
+            if left == 0 {
+                break Exit::OutOfGas;
             }
-            if let Some(exit) = self.step() {
-                return exit;
-            }
-        }
-    }
-
-    /// Executes one instruction; returns `Some` when execution stops.
-    pub fn step(&mut self) -> Option<Exit> {
-        let addr = self.cpu.eip;
-        let off = addr.wrapping_sub(self.text_base) as usize;
-        let cached = self.decode_cache.get(off).copied().flatten();
-        let (inst, len) = match cached {
-            Some((i, l)) => (i, u32::from(l)),
-            None => {
-                let bytes = match self.mem.fetch(addr, 16) {
-                    Ok(b) => b,
-                    Err(f) => return Some(Exit::Fault { pc: addr, fault: f }),
-                };
-                match decode(bytes) {
-                    Ok(d) => match d.body {
-                        Body::Known(i) => {
-                            if let Some(slot) = self.decode_cache.get_mut(off) {
-                                *slot = Some((i, d.len as u8));
-                            }
-                            (i, d.len as u32)
-                        }
-                        Body::Other(o) => return Some(Exit::Unsupported { addr, name: o.name }),
-                    },
-                    Err(_) => return Some(Exit::InvalidInstruction { addr }),
-                }
+            let b = match code.block_at(self.cpu.eip, &self.mem, &self.cost) {
+                Ok(b) => b,
+                Err(exit) => break exit,
+            };
+            let n = u64::from(code.blocks[b].len).min(left);
+            left -= n;
+            if let Some(exit) = self.exec_block(&mut code, b, n as usize) {
+                break exit;
             }
         };
-        self.cpu.eip = addr.wrapping_add(len);
-        self.stats.instructions += 1;
-        self.stats.inst_mix[InstClass::of(&inst) as usize] += 1;
-        // Removable NOPs hide in banked memory-stall slack; everything
-        // else pays full price and long-latency instructions refill the
-        // slack bank.
-        if self.cost.hides_in_slack(&inst) && self.slack > 0 {
-            self.slack -= 1;
-            self.stats.slack_hidden += 1;
+        self.settle(&mut code);
+        self.code = code;
+        exit
+    }
+
+    /// Executes the first `n` µops of block `b`: all of them, or fewer
+    /// when the gas runs out inside it. Returns the exit if execution
+    /// stops.
+    #[inline]
+    fn exec_block(&mut self, code: &mut Code, b: usize, n: usize) -> Option<Exit> {
+        let Block {
+            end, first, len, ..
+        } = code.blocks[b];
+        let first = first as usize;
+        // Control transfers overwrite this; every other µop falls through.
+        self.cpu.eip = end;
+        for (i, &op) in code.uops[first..first + n].iter().enumerate() {
+            if let Err(trap) = self.exec(op) {
+                return Some(self.stop(code, b, i + 1, Some(trap)));
+            }
+        }
+        if n == len as usize {
+            code.blocks[b].runs += 1;
+            None
         } else {
-            self.stats.cycles += self.cost.cost(&inst);
-            self.slack = (self.slack + self.cost.slack_produced(&inst)).min(self.cost.slack_window);
-        }
-        self.fetch_accum += len;
-        while self.fetch_accum >= 16 {
-            self.fetch_accum -= 16;
-            self.stats.cycles += self.cost.fetch_window;
-        }
-        match self.exec(addr, &inst) {
-            Ok(None) => None,
-            Ok(Some(exit)) => Some(exit),
-            Err(f) => Some(Exit::Fault { pc: addr, fault: f }),
+            Some(self.stop(code, b, n, None))
         }
     }
 
-    /// Models one data access through the direct-mapped L1: on a miss,
-    /// charges the miss penalty and banks it as slack.
-    fn touch_data(&mut self, addr: u32) {
-        let sets = 1usize << self.cost.cache_sets_log2;
-        if self.dcache.len() != sets {
-            self.dcache = vec![0; sets];
+    /// Stops inside block `b` after its first `retired` µops: charges
+    /// them, points `eip` past the last of them, and returns its trap, or
+    /// [`Exit::OutOfGas`] without one.
+    #[cold]
+    fn stop(&mut self, code: &Code, b: usize, retired: usize, trap: Option<Trap>) -> Exit {
+        let Block { pc, first, .. } = code.blocks[b];
+        let first = first as usize;
+        let charges = &code.charges[first..first + retired];
+        let next = charges
+            .iter()
+            .fold(pc, |at, c| at.wrapping_add(u32::from(c.len)));
+        self.retire(charges, 1);
+        self.cpu.eip = next;
+        match (trap, charges.last()) {
+            (Some(trap), Some(last)) => trap.at(next.wrapping_sub(u32::from(last.len))),
+            _ => Exit::OutOfGas,
         }
+    }
+
+    /// Charges `times` retirements of every instruction in `charges`: the
+    /// instruction count, the mix, base cycles, plain NOPs and fetch
+    /// windows.
+    fn retire(&mut self, charges: &[Charge], times: u64) {
+        let stats = &mut self.stats;
+        let mut bytes = u64::from(self.fetch_accum);
+        for c in charges {
+            stats.inst_mix[c.class as usize] += times;
+            stats.cycles += c.cycles * times;
+            stats.nops_retired += u64::from(c.nop) * times;
+            bytes += u64::from(c.len) * times;
+        }
+        stats.instructions += charges.len() as u64 * times;
+        // One fetch window per 16 bytes of code consumed; the remainder
+        // carries over to the next instruction.
+        stats.cycles += bytes / 16 * self.cost.fetch_window;
+        self.fetch_accum = (bytes % 16) as u32;
+    }
+
+    /// Folds the block executions counted since the run began into the
+    /// statistics.
+    fn settle(&mut self, code: &mut Code) {
+        for block in code.blocks.iter_mut().filter(|b| b.runs > 0) {
+            let first = block.first as usize;
+            let charges = &code.charges[first..first + block.len as usize];
+            self.retire(charges, block.runs);
+            block.runs = 0;
+        }
+    }
+
+    #[inline(always)]
+    fn ea(&self, m: Ea) -> u32 {
+        m.disp
+            .wrapping_add(self.cpu.slot(m.base))
+            .wrapping_add(self.cpu.slot(m.index) << m.shift)
+    }
+
+    /// Computes a memory operand's address and models the access through
+    /// the direct-mapped L1: a miss charges the miss penalty and banks it
+    /// as slack.
+    #[inline(always)]
+    fn touch(&mut self, m: Ea) -> u32 {
+        let addr = self.ea(m);
         let line = addr >> 6;
-        let set = (line as usize) & (sets - 1);
+        let set = (line as usize) & (self.dcache.len() - 1);
         let tag = (line >> self.cost.cache_sets_log2) + 1;
         self.stats.dcache_accesses += 1;
         if self.dcache[set] != tag {
@@ -430,17 +801,13 @@ impl Emulator {
         } else {
             self.stats.dcache_hits += 1;
         }
+        addr
     }
 
-    fn ea(&self, m: &Mem) -> u32 {
-        let mut a = m.disp as u32;
-        if let Some(b) = m.base {
-            a = a.wrapping_add(self.cpu.get(b));
-        }
-        if let Some((i, s)) = m.index {
-            a = a.wrapping_add(self.cpu.get(i).wrapping_mul(s.factor()));
-        }
-        a
+    #[inline(always)]
+    fn load(&mut self, m: Ea) -> Result<u32, Fault> {
+        let addr = self.touch(m);
+        self.mem.read_u32(addr)
     }
 
     fn alu(&mut self, op: AluOp, a: u32, b: u32) -> u32 {
@@ -533,97 +900,91 @@ impl Emulator {
         res as u32
     }
 
-    fn exec(&mut self, addr: u32, inst: &Inst) -> Result<Option<Exit>, Fault> {
-        use Inst::*;
-        match *inst {
-            MovRI(r, v) => self.cpu.set(r, v as u32),
-            MovRR(d, s) => {
-                let v = self.cpu.get(s);
+    /// Executes one µop. Its static charge is retired with its block;
+    /// the run-dependent part (slack, d-cache accesses, branch outcome) is
+    /// charged here.
+    #[inline(always)]
+    fn exec(&mut self, op: Op) -> Result<(), Trap> {
+        match op {
+            Op::Hide(cycles) => {
+                if self.slack > 0 {
+                    self.slack -= 1;
+                    self.stats.slack_hidden += 1;
+                } else {
+                    self.stats.cycles += cycles;
+                }
+            }
+            Op::Nop => {}
+            Op::MovRI(d, v) => self.cpu.set(d, v),
+            Op::MovRR(d, s) => self.cpu.set(d, self.cpu.get(s)),
+            Op::Load(d, m) => {
+                let v = self.load(m)?;
                 self.cpu.set(d, v);
             }
-            MovRM(d, ref m) => {
-                let a = self.ea(m);
-                self.touch_data(a);
-                let v = self.mem.read_u32(a)?;
-                self.cpu.set(d, v);
+            Op::Store(m, s) => {
+                let a = self.touch(m);
+                self.mem.write_u32(a, self.cpu.get(s))?;
             }
-            MovMR(ref m, s) => {
-                let a = self.ea(m);
-                self.touch_data(a);
-                let v = self.cpu.get(s);
+            Op::StoreI(m, v) => {
+                let a = self.touch(m);
                 self.mem.write_u32(a, v)?;
             }
-            MovMI(ref m, v) => {
-                let a = self.ea(m);
-                self.touch_data(a);
-                self.mem.write_u32(a, v as u32)?;
-            }
-            AluRR(op, d, s) => {
-                let (a, b) = (self.cpu.get(d), self.cpu.get(s));
-                let r = self.alu(op, a, b);
+            Op::AluRR(op, d, s) => {
+                let r = self.alu(op, self.cpu.get(d), self.cpu.get(s));
                 if !op.is_compare() {
                     self.cpu.set(d, r);
                 }
             }
-            AluRM(op, d, ref m) => {
-                let ea = self.ea(m);
-                self.touch_data(ea);
-                let a = self.cpu.get(d);
-                let b = self.mem.read_u32(ea)?;
-                let r = self.alu(op, a, b);
+            Op::AluRI(op, d, v) => {
+                let r = self.alu(op, self.cpu.get(d), v);
                 if !op.is_compare() {
                     self.cpu.set(d, r);
                 }
             }
-            AluMR(op, ref m, s) => {
-                let addr = self.ea(m);
-                self.touch_data(addr);
-                let a = self.mem.read_u32(addr)?;
-                let b = self.cpu.get(s);
-                let r = self.alu(op, a, b);
-                if !op.is_compare() {
-                    self.mem.write_u32(addr, r)?;
-                }
-            }
-            AluRI(op, d, v) => {
-                let a = self.cpu.get(d);
-                let r = self.alu(op, a, v as u32);
+            Op::AluRM(op, d, m) => {
+                let b = self.load(m)?;
+                let r = self.alu(op, self.cpu.get(d), b);
                 if !op.is_compare() {
                     self.cpu.set(d, r);
                 }
             }
-            AluMI(op, ref m, v) => {
-                let addr = self.ea(m);
-                self.touch_data(addr);
-                let a = self.mem.read_u32(addr)?;
-                let r = self.alu(op, a, v as u32);
+            Op::AluMR(op, m, s) => {
+                let a = self.touch(m);
+                let x = self.mem.read_u32(a)?;
+                let r = self.alu(op, x, self.cpu.get(s));
                 if !op.is_compare() {
-                    self.mem.write_u32(addr, r)?;
+                    self.mem.write_u32(a, r)?;
                 }
             }
-            TestRR(a, b) => {
-                let (x, y) = (self.cpu.get(a), self.cpu.get(b));
+            Op::AluMI(op, m, v) => {
+                let a = self.touch(m);
+                let x = self.mem.read_u32(a)?;
+                let r = self.alu(op, x, v);
+                if !op.is_compare() {
+                    self.mem.write_u32(a, r)?;
+                }
+            }
+            Op::Test(a, b) => {
+                let v = self.cpu.get(a) & self.cpu.get(b);
                 let f = &mut self.cpu.flags;
                 f.cf = false;
                 f.of = false;
-                f.set_zsp(x & y);
+                f.set_zsp(v);
             }
-            ImulRR(d, s) => {
+            Op::ImulRR(d, s) => {
                 let r = self.imul_flags(self.cpu.get(d) as i32, self.cpu.get(s) as i32);
                 self.cpu.set(d, r);
             }
-            ImulRM(d, ref m) => {
-                let ea = self.ea(m);
-                self.touch_data(ea);
-                let b = self.mem.read_u32(ea)? as i32;
+            Op::ImulRM(d, m) => {
+                let b = self.load(m)? as i32;
                 let r = self.imul_flags(self.cpu.get(d) as i32, b);
                 self.cpu.set(d, r);
             }
-            ImulRRI(d, s, imm) => {
+            Op::ImulRRI(d, s, imm) => {
                 let r = self.imul_flags(self.cpu.get(s) as i32, imm);
                 self.cpu.set(d, r);
             }
-            Cdq => {
+            Op::Cdq => {
                 let v = if (self.cpu.get(Reg::Eax) as i32) < 0 {
                     u32::MAX
                 } else {
@@ -631,22 +992,23 @@ impl Emulator {
                 };
                 self.cpu.set(Reg::Edx, v);
             }
-            IdivR(r) => {
-                let divisor = self.cpu.get(r) as i32 as i64;
+            Op::Idiv(r, slack) => {
+                self.slack = (self.slack + slack).min(self.cost.slack_window);
+                let divisor = i64::from(self.cpu.get(r) as i32);
                 if divisor == 0 {
-                    return Ok(Some(Exit::DivideError { addr }));
+                    return Err(Trap::Divide);
                 }
                 let dividend = ((u64::from(self.cpu.get(Reg::Edx)) << 32)
                     | u64::from(self.cpu.get(Reg::Eax))) as i64;
                 let q = dividend.wrapping_div(divisor);
                 let rem = dividend.wrapping_rem(divisor);
                 if q > i64::from(i32::MAX) || q < i64::from(i32::MIN) {
-                    return Ok(Some(Exit::DivideError { addr }));
+                    return Err(Trap::Divide);
                 }
                 self.cpu.set(Reg::Eax, q as i32 as u32);
                 self.cpu.set(Reg::Edx, rem as i32 as u32);
             }
-            NegR(r) => {
+            Op::Neg(r) => {
                 let v = self.cpu.get(r);
                 let res = (v as i32).wrapping_neg() as u32;
                 self.cpu.flags.cf = v != 0;
@@ -654,25 +1016,21 @@ impl Emulator {
                 self.cpu.flags.set_zsp(res);
                 self.cpu.set(r, res);
             }
-            NotR(r) => {
-                let v = !self.cpu.get(r);
-                self.cpu.set(r, v);
-            }
-            IncR(r) => {
+            Op::Not(r) => self.cpu.set(r, !self.cpu.get(r)),
+            Op::Inc(r) => {
                 let v = self.cpu.get(r).wrapping_add(1);
                 self.cpu.flags.of = v == 0x8000_0000;
                 self.cpu.flags.set_zsp(v);
                 self.cpu.set(r, v);
             }
-            DecR(r) => {
+            Op::Dec(r) => {
                 let v = self.cpu.get(r).wrapping_sub(1);
                 self.cpu.flags.of = v == 0x7FFF_FFFF;
                 self.cpu.flags.set_zsp(v);
                 self.cpu.set(r, v);
             }
-            IncDecM(inc, ref m) => {
-                let a = self.ea(m);
-                self.touch_data(a);
+            Op::IncDecM(inc, m) => {
+                let a = self.touch(m);
                 let v0 = self.mem.read_u32(a)?;
                 let v = if inc {
                     v0.wrapping_add(1)
@@ -682,70 +1040,54 @@ impl Emulator {
                 self.cpu.flags.set_zsp(v);
                 self.mem.write_u32(a, v)?;
             }
-            ShiftRI(op, r, c) => {
-                let v = self.cpu.get(r);
-                match self.shift(op, v, c) {
-                    Ok(res) => self.cpu.set(r, res),
-                    Err(name) => return Ok(Some(Exit::Unsupported { addr, name })),
-                }
+            Op::ShiftRI(op, r, c) => {
+                let v = self
+                    .shift(op, self.cpu.get(r), c)
+                    .map_err(Trap::Unsupported)?;
+                self.cpu.set(r, v);
             }
-            ShiftRCl(op, r) => {
-                let v = self.cpu.get(r);
+            Op::ShiftRCl(op, r) => {
                 let c = self.cpu.get(Reg::Ecx) as u8;
-                match self.shift(op, v, c) {
-                    Ok(res) => self.cpu.set(r, res),
-                    Err(name) => return Ok(Some(Exit::Unsupported { addr, name })),
-                }
+                let v = self
+                    .shift(op, self.cpu.get(r), c)
+                    .map_err(Trap::Unsupported)?;
+                self.cpu.set(r, v);
             }
-            PushR(r) => {
-                let v = self.cpu.get(r);
+            Op::Push(r) => self.push(self.cpu.get(r))?,
+            Op::PushI(v) => self.push(v)?,
+            Op::PushM(m) => {
+                let v = self.load(m)?;
                 self.push(v)?;
             }
-            PushI(v) => self.push(v as u32)?,
-            PushM(ref m) => {
-                let ea = self.ea(m);
-                self.touch_data(ea);
-                let v = self.mem.read_u32(ea)?;
-                self.push(v)?;
-            }
-            PopR(r) => {
+            Op::Pop(r) => {
                 let v = self.pop()?;
                 self.cpu.set(r, v);
             }
-            Lea(r, ref m) => {
-                let a = self.ea(m);
-                self.cpu.set(r, a);
-            }
-            XchgRR(a, b) => {
+            Op::Lea(r, m) => self.cpu.set(r, self.ea(m)),
+            Op::Xchg(a, b) => {
                 let (x, y) = (self.cpu.get(a), self.cpu.get(b));
                 self.cpu.set(a, y);
                 self.cpu.set(b, x);
             }
-            CallRel(rel) => {
-                let ret = self.cpu.eip;
+            Op::Call(target, ret) => {
                 self.push(ret)?;
-                self.cpu.eip = ret.wrapping_add(rel as u32);
+                self.cpu.eip = target;
             }
-            CallR(r) => {
-                let ret = self.cpu.eip;
+            Op::CallR(r, ret) => {
                 let target = self.cpu.get(r);
                 self.push(ret)?;
                 self.cpu.eip = target;
             }
-            Ret => {
-                self.cpu.eip = self.pop()?;
-            }
-            RetImm(n) => {
+            Op::Ret(n) => {
                 self.cpu.eip = self.pop()?;
                 let sp = self.cpu.get(Reg::Esp).wrapping_add(u32::from(n));
                 self.cpu.set(Reg::Esp, sp);
             }
-            JmpRel(rel) => self.cpu.eip = self.cpu.eip.wrapping_add(rel as u32),
-            JmpRel8(rel) => self.cpu.eip = self.cpu.eip.wrapping_add(rel as i32 as u32),
-            JmpR(r) => self.cpu.eip = self.cpu.get(r),
-            Jcc(cc, rel) => {
+            Op::Jmp(target) => self.cpu.eip = target,
+            Op::JmpR(r) => self.cpu.eip = self.cpu.get(r),
+            Op::Jcc(cc, target) => {
                 if self.cpu.flags.cond(cc) {
-                    self.cpu.eip = self.cpu.eip.wrapping_add(rel as u32);
+                    self.cpu.eip = target;
                     self.stats.cycles += self.cost.branch_taken;
                     self.stats.branch_taken += 1;
                 } else {
@@ -753,39 +1095,21 @@ impl Emulator {
                     self.stats.branch_not_taken += 1;
                 }
             }
-            Jcc8(cc, rel) => {
-                if self.cpu.flags.cond(cc) {
-                    self.cpu.eip = self.cpu.eip.wrapping_add(rel as i32 as u32);
-                    self.stats.cycles += self.cost.branch_taken;
-                    self.stats.branch_taken += 1;
-                } else {
-                    self.stats.cycles += self.cost.branch_not_taken;
-                    self.stats.branch_not_taken += 1;
-                }
-            }
-            Int(0x80) => {
+            Op::Int(vector) => {
                 let eax = self.cpu.get(Reg::Eax);
                 let ebx = self.cpu.get(Reg::Ebx);
-                match eax {
-                    SYS_EXIT => return Ok(Some(Exit::Exited(ebx as i32))),
-                    SYS_PRINT => {
+                match (vector, eax) {
+                    (0x80, SYS_EXIT) => return Err(Trap::Exit(ebx as i32)),
+                    (0x80, SYS_PRINT) => {
                         self.stats.output.push(ebx as i32);
                         self.cpu.set(Reg::Eax, 0);
                     }
-                    _ => return Ok(Some(Exit::BadSyscall { addr, eax })),
+                    _ => return Err(Trap::BadSyscall(eax)),
                 }
             }
-            Int(_) => {
-                return Ok(Some(Exit::BadSyscall {
-                    addr,
-                    eax: self.cpu.get(Reg::Eax),
-                }))
-            }
-            Hlt => return Ok(Some(Exit::Halted { addr })),
-            Nop(NopKind::Nop) => self.stats.nops_retired += 1,
-            Nop(_) => {}
+            Op::Hlt => return Err(Trap::Halt),
         }
-        Ok(None)
+        Ok(())
     }
 }
 

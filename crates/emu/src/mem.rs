@@ -7,15 +7,18 @@
 //! (paper §2.1) that forces attackers into code reuse in the first place.
 
 //!
-//! Segment contents are `Arc`-shared with copy-on-write semantics: a
-//! fresh address space for a seed run borrows the image's text and data
-//! buffers instead of copying them, and the first write to a segment
-//! (data/stack stores, or an attack simulation's unchecked write into
-//! text) un-shares just that segment via [`Arc::make_mut`]. Reads and
+//! Segment contents start out `Arc`-shared with the image: a fresh
+//! address space for a seed run borrows the image's text and data
+//! buffers instead of copying them. The first write to a segment (data
+//! stores, or an attack simulation's unchecked write into text) copies
+//! just that segment into a plain owned buffer, and every later access
+//! to it is an ordinary slice access: no reference count is touched
+//! after the first write. The stack is owned from the start. Reads and
 //! instruction fetches never copy.
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Size of the stack segment in bytes (1 MiB).
@@ -57,22 +60,71 @@ impl fmt::Display for Fault {
 
 impl Error for Fault {}
 
+/// A segment's bytes: shared with the loaded image until the first
+/// write, owned from then on.
+enum Bytes {
+    Shared(Arc<Vec<u8>>),
+    Owned(Vec<u8>),
+}
+
+impl Bytes {
+    #[inline]
+    fn get(&self) -> &[u8] {
+        match self {
+            Bytes::Shared(b) => b,
+            Bytes::Owned(b) => b,
+        }
+    }
+
+    /// The bytes for writing, un-sharing them on the first write.
+    #[inline]
+    fn get_mut(&mut self) -> &mut [u8] {
+        if let Bytes::Shared(b) = self {
+            *self = Bytes::Owned(b.to_vec());
+        }
+        match self {
+            Bytes::Owned(b) => b,
+            Bytes::Shared(_) => unreachable!("un-shared above"),
+        }
+    }
+}
+
 struct Segment {
     base: u32,
-    bytes: Arc<Vec<u8>>,
+    /// Length of `bytes`, kept beside `base` so that finding the segment
+    /// of an address reads no pointer.
+    len: usize,
+    bytes: Bytes,
     writable: bool,
     executable: bool,
 }
 
 impl Segment {
-    fn contains(&self, addr: u32, len: u32) -> bool {
-        addr >= self.base && addr.wrapping_add(len) <= self.base + self.bytes.len() as u32
+    fn new(base: u32, bytes: Bytes, writable: bool, executable: bool) -> Segment {
+        Segment {
+            base,
+            len: bytes.get().len(),
+            bytes,
+            writable,
+            executable,
+        }
+    }
+
+    /// The offsets of `[addr, addr + len)` within this segment, if the
+    /// whole range lies inside it. Computed in `usize`, so a range that
+    /// wraps past the top of the address space is never inside.
+    #[inline]
+    fn range(&self, addr: u32, len: u32) -> Option<Range<usize>> {
+        let off = addr.wrapping_sub(self.base) as usize;
+        let end = off + len as usize;
+        (end <= self.len).then_some(off..end)
     }
 }
 
 /// The emulated 32-bit address space.
 pub struct Memory {
-    segments: Vec<Segment>,
+    /// Text, data, stack: the search order when segments overlap.
+    segments: [Segment; 3],
 }
 
 impl fmt::Debug for Memory {
@@ -92,38 +144,36 @@ impl Memory {
         data: impl Into<Arc<Vec<u8>>>,
         stack_top: u32,
     ) -> Memory {
-        let mut data = data.into();
+        let data = data.into();
         // Give the data segment a little headroom so zero-length data
         // sections still accept counter-free programs writing globals.
-        if data.is_empty() {
-            data = Arc::new(vec![0; 4]);
-        }
+        let data = if data.is_empty() {
+            Bytes::Owned(vec![0; 4])
+        } else {
+            Bytes::Shared(data)
+        };
         Memory {
-            segments: vec![
-                Segment {
-                    base: text_base,
-                    bytes: text.into(),
-                    writable: false,
-                    executable: true,
-                },
-                Segment {
-                    base: data_base,
-                    bytes: data,
-                    writable: true,
-                    executable: false,
-                },
-                Segment {
-                    base: stack_top - STACK_SIZE,
-                    bytes: Arc::new(vec![0; STACK_SIZE as usize]),
-                    writable: true,
-                    executable: false,
-                },
+            segments: [
+                Segment::new(text_base, Bytes::Shared(text.into()), false, true),
+                Segment::new(data_base, data, true, false),
+                Segment::new(
+                    stack_top - STACK_SIZE,
+                    Bytes::Owned(vec![0; STACK_SIZE as usize]),
+                    true,
+                    false,
+                ),
             ],
         }
     }
 
-    fn find(&self, addr: u32, len: u32) -> Option<usize> {
-        self.segments.iter().position(|s| s.contains(addr, len))
+    /// The first segment holding all of `[addr, addr + len)`, with the
+    /// range's offsets in it.
+    #[inline]
+    fn find(&self, addr: u32, len: u32) -> Option<(usize, Range<usize>)> {
+        self.segments
+            .iter()
+            .enumerate()
+            .find_map(|(i, s)| Some((i, s.range(addr, len)?)))
     }
 
     /// Reads a 32-bit little-endian word.
@@ -131,13 +181,13 @@ impl Memory {
     /// # Errors
     ///
     /// Faults if the range is unmapped.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, Fault> {
-        let si = self.find(addr, 4).ok_or(Fault::Unmapped { addr })?;
-        let s = &self.segments[si];
-        let off = (addr - s.base) as usize;
-        Ok(u32::from_le_bytes(
-            s.bytes[off..off + 4].try_into().expect("4 bytes"),
-        ))
+        let (si, r) = self.find(addr, 4).ok_or(Fault::Unmapped { addr })?;
+        let word = self.segments[si].bytes.get()[r]
+            .try_into()
+            .expect("4 bytes");
+        Ok(u32::from_le_bytes(word))
     }
 
     /// Writes a 32-bit little-endian word.
@@ -145,15 +195,9 @@ impl Memory {
     /// # Errors
     ///
     /// Faults if the range is unmapped or not writable.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), Fault> {
-        let si = self.find(addr, 4).ok_or(Fault::Unmapped { addr })?;
-        let s = &mut self.segments[si];
-        if !s.writable {
-            return Err(Fault::WriteProtected { addr });
-        }
-        let off = (addr - s.base) as usize;
-        Arc::make_mut(&mut s.bytes)[off..off + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
+        self.write_bytes(addr, &value.to_le_bytes())
     }
 
     /// Returns up to `len` bytes starting at `addr` from an *executable*
@@ -164,26 +208,13 @@ impl Memory {
     /// Faults if `addr` is unmapped or the segment is not executable
     /// (W⊕X).
     pub fn fetch(&self, addr: u32, len: u32) -> Result<&[u8], Fault> {
-        let si = self.find(addr, 1).ok_or(Fault::Unmapped { addr })?;
+        let (si, r) = self.find(addr, 1).ok_or(Fault::Unmapped { addr })?;
         let s = &self.segments[si];
         if !s.executable {
             return Err(Fault::NotExecutable { addr });
         }
-        let off = (addr - s.base) as usize;
-        let end = (off + len as usize).min(s.bytes.len());
-        Ok(&s.bytes[off..end])
-    }
-
-    /// Reads a byte range for inspection (no permission checks).
-    ///
-    /// # Errors
-    ///
-    /// Faults if the range is unmapped.
-    pub fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Fault> {
-        let si = self.find(addr, len).ok_or(Fault::Unmapped { addr })?;
-        let s = &self.segments[si];
-        let off = (addr - s.base) as usize;
-        Ok(&s.bytes[off..off + len as usize])
+        let bytes = s.bytes.get();
+        Ok(&bytes[r.start..(r.start + len as usize).min(bytes.len())])
     }
 
     /// Writes raw bytes, honoring write protection.
@@ -191,16 +222,16 @@ impl Memory {
     /// # Errors
     ///
     /// Faults if the range is unmapped or not writable.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let si = self
+        let (si, r) = self
             .find(addr, bytes.len() as u32)
             .ok_or(Fault::Unmapped { addr })?;
         let s = &mut self.segments[si];
         if !s.writable {
             return Err(Fault::WriteProtected { addr });
         }
-        let off = (addr - s.base) as usize;
-        Arc::make_mut(&mut s.bytes)[off..off + bytes.len()].copy_from_slice(bytes);
+        s.bytes.get_mut()[r].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -212,12 +243,10 @@ impl Memory {
     ///
     /// Faults if the range is unmapped.
     pub fn write_bytes_unchecked(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let si = self
+        let (si, r) = self
             .find(addr, bytes.len() as u32)
             .ok_or(Fault::Unmapped { addr })?;
-        let s = &mut self.segments[si];
-        let off = (addr - s.base) as usize;
-        Arc::make_mut(&mut s.bytes)[off..off + bytes.len()].copy_from_slice(bytes);
+        self.segments[si].bytes.get_mut()[r].copy_from_slice(bytes);
         Ok(())
     }
 }
@@ -273,6 +302,15 @@ mod tests {
             m.read_u32(0x4000_0000),
             Err(Fault::Unmapped { addr: 0x4000_0000 })
         );
+    }
+
+    #[test]
+    fn ranges_wrapping_past_the_top_of_memory_are_unmapped() {
+        let mut m = mem();
+        for addr in [u32::MAX, u32::MAX - 2] {
+            assert_eq!(m.read_u32(addr), Err(Fault::Unmapped { addr }));
+            assert_eq!(m.write_u32(addr, 1), Err(Fault::Unmapped { addr }));
+        }
     }
 
     #[test]
