@@ -1,5 +1,7 @@
 //! Emulator golden: every workload's first training input, run on the
-//! baseline build and on one pNOP=50% variant, must reproduce its exit
+//! baseline build, on one pNOP=50% variant and on one variant with every
+//! transform on (NOPs, block shifting, substitution, register
+//! randomization, all at 50%), must reproduce its exit
 //! and its full `RunStats` — cycles, instructions, retired and
 //! slack-hidden NOPs, the d-cache split, the branch split, the
 //! instruction mix — and a digest of its printed output, exactly.
@@ -69,6 +71,10 @@ fn render() -> String {
     let builds = [
         ("baseline", BuildConfig::baseline()),
         ("pnop50_seed1", variant),
+        (
+            "full50_seed1",
+            BuildConfig::full_diversity(Strategy::uniform(VARIANT_PNOP), VARIANT_SEED),
+        ),
     ];
     let mut entries = Vec::new();
     for w in spec_suite() {
