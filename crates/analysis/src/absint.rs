@@ -2,7 +2,7 @@
 //!
 //! Runs two interprocedural-by-summary domains over every reachable
 //! function of a [`RecoveredCfg`] (driven by the same worklist core as
-//! the LIR solver, [`crate::dataflow::fixpoint`]):
+//! the LIR EFLAGS liveness, [`crate::dataflow::fixpoint`]):
 //!
 //! * **Stack height** — `Bottom / Known(bytes) / Top`. Pushes, pops, and
 //!   direct `esp` adjustments are tracked exactly; calls are height-

@@ -151,11 +151,6 @@ impl RecoveredCfg {
     pub fn reachable_insts(&self) -> usize {
         self.insts.len()
     }
-
-    /// The function containing address `addr`, if any.
-    pub fn func_at(&self, addr: u32) -> Option<&FuncCfg> {
-        self.funcs.iter().find(|f| f.start <= addr && addr < f.end)
-    }
 }
 
 /// The absolute target of a direct relative branch ending at `next`.

@@ -1,110 +1,14 @@
-//! A generic worklist dataflow solver over machine (LIR) control-flow
-//! graphs.
-//!
-//! An [`Analysis`] supplies the lattice (`Fact` + [`Analysis::join`]), the
-//! direction, and the per-instruction / per-terminator transfer functions;
-//! [`solve`] iterates to the least fixpoint. Facts start from
-//! [`Analysis::bottom`] and only grow through `join`, so for monotone
-//! transfer functions on a finite lattice the result is the unique least
-//! fixpoint — independent of iteration order. That property is what lets
-//! the flags analysis here replace `subst_pass`'s original hand-rolled
-//! two-pass version bit-for-bit.
+//! The worklist fixpoint driver shared by the LIR EFLAGS liveness
+//! ([`crate::flags`]) and the binary-level abstract interpreter
+//! ([`crate::absint`]).
 
-use pgsd_cc::lir::{MFunction, MInst, MTerm};
-
-/// Which way facts flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts propagate from block entries to exits (e.g. stack depth).
-    Forward,
-    /// Facts propagate from block exits to entries (e.g. liveness).
-    Backward,
-}
-
-/// A dataflow problem over one [`MFunction`].
-pub trait Analysis {
-    /// The lattice element tracked at each program point.
-    type Fact: Clone + PartialEq;
-
-    /// Flow direction.
-    const DIRECTION: Direction;
-
-    /// The lattice bottom: the initial optimistic fact at every point.
-    fn bottom(&self) -> Self::Fact;
-
-    /// The boundary fact: at function entry for forward problems, at every
-    /// function exit (a `Ret` terminator) for backward problems.
-    fn boundary(&self, func: &MFunction) -> Self::Fact;
-
-    /// Joins `other` into `into`. Must be monotone; `solve` detects
-    /// convergence with `PartialEq`, not with a return value.
-    fn join(&self, into: &mut Self::Fact, other: &Self::Fact);
-
-    /// Applies one instruction's transfer function in the flow direction.
-    fn transfer_inst(&self, inst: &MInst, fact: &mut Self::Fact);
-
-    /// Applies a terminator's transfer function in the flow direction.
-    fn transfer_term(&self, term: &MTerm, fact: &mut Self::Fact);
-}
-
-/// Per-block fixpoint facts computed by [`solve`].
+/// Runs a worklist to a fixpoint over blocks `0..n`.
 ///
-/// For a **forward** problem, `entry[b]` holds at the first instruction of
-/// block `b` and `exit[b]` after its terminator. For a **backward**
-/// problem the names keep their *program-order* meaning: `entry[b]` holds
-/// before the first instruction (the block's live-in) and `exit[b]` holds
-/// at the start of the terminator (the join over successors plus the
-/// terminator's own transfer).
-#[derive(Debug, Clone)]
-pub struct BlockFacts<F> {
-    /// Fact at each block's first instruction.
-    pub entry: Vec<F>,
-    /// Fact at each block's terminator boundary (see type docs).
-    pub exit: Vec<F>,
-}
-
-impl<F: Clone> BlockFacts<F> {
-    /// Replays the transfer functions through block `b` of `func` and
-    /// returns one fact per instruction: for a backward analysis the fact
-    /// holding *after* each instruction executes, for a forward analysis
-    /// the fact holding *before* it. These are the program points a
-    /// transformation querying the analysis cares about.
-    pub fn per_inst<A>(&self, a: &A, func: &MFunction, b: usize) -> Vec<F>
-    where
-        A: Analysis<Fact = F>,
-    {
-        let block = &func.blocks[b];
-        let n = block.instrs.len();
-        let mut out = vec![self.entry[b].clone(); n];
-        match A::DIRECTION {
-            Direction::Backward => {
-                let mut fact = self.exit[b].clone();
-                for (i, inst) in block.instrs.iter().enumerate().rev() {
-                    out[i] = fact.clone();
-                    a.transfer_inst(inst, &mut fact);
-                }
-            }
-            Direction::Forward => {
-                let mut fact = self.entry[b].clone();
-                for (i, inst) in block.instrs.iter().enumerate() {
-                    out[i] = fact.clone();
-                    a.transfer_inst(inst, &mut fact);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Generic worklist driver shared by [`solve`] and the binary-level
-/// abstract interpreter ([`crate::absint`]).
-///
-/// Blocks are identified by index in `0..n`. `step(b)` recomputes block
-/// `b`'s fact and returns the indices whose input changed as a result
-/// (its dependents); the driver re-enqueues them with duplicate
-/// suppression until no block reports a change. Termination is the
-/// caller's obligation: `step` must be monotone over a lattice of finite
-/// height (or widen).
+/// `step(b)` recomputes block `b`'s fact and returns the indices whose
+/// input changed as a result (its dependents); the driver re-enqueues them
+/// with duplicate suppression until no block reports a change. Termination
+/// is the caller's obligation: `step` must be monotone over a lattice of
+/// finite height (or widen).
 pub fn fixpoint(
     n: usize,
     seed: impl IntoIterator<Item = usize>,
@@ -127,82 +31,4 @@ pub fn fixpoint(
             }
         }
     }
-}
-
-/// Runs `a` to its least fixpoint over `func`'s CFG.
-pub fn solve<A: Analysis>(a: &A, func: &MFunction) -> BlockFacts<A::Fact> {
-    let nb = func.blocks.len();
-    let mut entry = vec![a.bottom(); nb];
-    let mut exit = vec![a.bottom(); nb];
-    if nb == 0 {
-        return BlockFacts { entry, exit };
-    }
-    let preds = func.predecessors();
-
-    // Seed the worklist in an order that tends to converge quickly:
-    // reverse block order for backward problems, block order for forward.
-    let seed: Vec<usize> = match A::DIRECTION {
-        Direction::Forward => (0..nb).collect(),
-        Direction::Backward => (0..nb).rev().collect(),
-    };
-
-    fixpoint(nb, seed, |b| {
-        let block = &func.blocks[b];
-        match A::DIRECTION {
-            Direction::Backward => {
-                // Input: join of successors' entry facts; Ret blocks take
-                // the boundary fact.
-                let succs = block.term.successors();
-                let mut fact = if succs.is_empty() {
-                    a.boundary(func)
-                } else {
-                    let mut f = a.bottom();
-                    for s in &succs {
-                        a.join(&mut f, &entry[*s as usize]);
-                    }
-                    f
-                };
-                a.transfer_term(&block.term, &mut fact);
-                exit[b] = fact.clone();
-                for inst in block.instrs.iter().rev() {
-                    a.transfer_inst(inst, &mut fact);
-                }
-                if fact != entry[b] {
-                    entry[b] = fact;
-                    preds[b].iter().map(|p| *p as usize).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            Direction::Forward => {
-                // Input: join of predecessors' exit facts; the entry block
-                // additionally joins the boundary fact (it may also be a
-                // loop header with in-edges).
-                let mut fact = a.bottom();
-                if b == 0 {
-                    a.join(&mut fact, &a.boundary(func));
-                }
-                for p in &preds[b] {
-                    a.join(&mut fact, &exit[*p as usize]);
-                }
-                entry[b] = fact.clone();
-                for inst in &block.instrs {
-                    a.transfer_inst(inst, &mut fact);
-                }
-                a.transfer_term(&block.term, &mut fact);
-                if fact != exit[b] {
-                    exit[b] = fact;
-                    block
-                        .term
-                        .successors()
-                        .into_iter()
-                        .map(|s| s as usize)
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            }
-        }
-    });
-    BlockFacts { entry, exit }
 }

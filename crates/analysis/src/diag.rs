@@ -5,7 +5,7 @@
 //! function, block, instruction index, and the instruction's address when
 //! the diagnostic refers to emitted bytes.
 //!
-//! Every finding carries a stable [`Rule`] identifier (`PGSD001`…), so
+//! Every finding carries a stable [`Rule`] identifier (`PGSDnnn`), so
 //! downstream tooling can filter, baseline, and gate on rule IDs without
 //! parsing message text. Findings serialize to a deterministic,
 //! schema-versioned JSON shape ([`AnalysisDiag::to_json`]) modeled on
@@ -46,17 +46,16 @@ impl fmt::Display for Severity {
 /// IDs are append-only: a rule keeps its `PGSDnnn` identifier forever, and
 /// retired rules are never reused. [`Rule::from_id`] round-trips the ID
 /// string, which the JSON schema tests pin.
+///
+/// Retired: `PGSD001` (vreg-survives), `PGSD003` (stack-unbalanced) and
+/// `PGSD004` (flags-live-at-entry), the rules of an LIR lint that no build
+/// ran; the emitter rejects a surviving virtual register and the variant
+/// validator proves every validated variant against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// A virtual register survived register allocation (LIR lint).
-    VregSurvives,
-    /// A terminator targets a block index out of range (LIR lint).
+    /// A direct branch target escapes its function's range (CFG
+    /// recovery).
     BranchTargetRange,
-    /// Stack depth dips below the caller frame or `ret` fires with bytes
-    /// still pushed (LIR lint).
-    StackUnbalanced,
-    /// EFLAGS are live at function entry (LIR lint).
-    FlagsLiveAtEntry,
     /// Baseline and variant disagree beyond the declared transforms
     /// (translation validation).
     ValidationMismatch,
@@ -91,10 +90,7 @@ pub enum Rule {
 
 /// Every rule, in stable ID order. Used by round-trip tests and docs.
 pub const ALL_RULES: &[Rule] = &[
-    Rule::VregSurvives,
     Rule::BranchTargetRange,
-    Rule::StackUnbalanced,
-    Rule::FlagsLiveAtEntry,
     Rule::ValidationMismatch,
     Rule::Undecodable,
     Rule::LayoutMismatch,
@@ -112,10 +108,7 @@ impl Rule {
     /// The stable `PGSDnnn` identifier.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::VregSurvives => "PGSD001",
             Rule::BranchTargetRange => "PGSD002",
-            Rule::StackUnbalanced => "PGSD003",
-            Rule::FlagsLiveAtEntry => "PGSD004",
             Rule::ValidationMismatch => "PGSD005",
             Rule::Undecodable => "PGSD006",
             Rule::LayoutMismatch => "PGSD007",
@@ -133,10 +126,7 @@ impl Rule {
     /// Human-readable slug, stable like the ID.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::VregSurvives => "vreg-survives",
             Rule::BranchTargetRange => "branch-target-range",
-            Rule::StackUnbalanced => "stack-unbalanced",
-            Rule::FlagsLiveAtEntry => "flags-live-at-entry",
             Rule::ValidationMismatch => "validation-mismatch",
             Rule::Undecodable => "undecodable-bytes",
             Rule::LayoutMismatch => "layout-mismatch",
@@ -186,16 +176,6 @@ impl Loc {
         }
     }
 
-    /// An instruction-scoped LIR location.
-    pub fn inst(name: impl Into<String>, block: usize, inst: usize) -> Loc {
-        Loc {
-            func: name.into(),
-            block: Some(block),
-            inst: Some(inst),
-            addr: None,
-        }
-    }
-
     /// An address-scoped machine-code location.
     pub fn addr(name: impl Into<String>, addr: u32) -> Loc {
         Loc {
@@ -223,8 +203,7 @@ impl fmt::Display for Loc {
     }
 }
 
-/// One finding from a dataflow lint, the variant validator, or the
-/// whole-image audit.
+/// One finding from the variant validator or the whole-image audit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisDiag {
     /// Stable rule identity of the finding.
@@ -379,14 +358,16 @@ mod tests {
 
     #[test]
     fn display_matches_compiler_style() {
-        let d = AnalysisDiag::error(
-            Rule::StackUnbalanced,
-            Loc::inst("fib", 2, 5),
-            "stack depth negative",
-        );
+        let loc = Loc {
+            func: "fib".into(),
+            block: Some(2),
+            inst: Some(5),
+            addr: None,
+        };
+        let d = AnalysisDiag::error(Rule::BranchTargetRange, loc, "target out of range");
         assert_eq!(
             d.to_string(),
-            "fib:.L2:5: error[PGSD003]: stack depth negative"
+            "fib:.L2:5: error[PGSD002]: target out of range"
         );
         let d = AnalysisDiag::warning(
             Rule::ValidationMismatch,
@@ -425,6 +406,9 @@ mod tests {
             assert_eq!(r.id().len(), 7);
         }
         assert_eq!(Rule::from_id("PGSD999"), None);
+        for retired in ["PGSD001", "PGSD003", "PGSD004"] {
+            assert_eq!(Rule::from_id(retired), None);
+        }
         assert_eq!(Rule::from_id(""), None);
     }
 

@@ -1,69 +1,69 @@
-//! EFLAGS liveness over a machine function.
+//! EFLAGS liveness over a machine function, for the substitution pass.
 //!
 //! A single boolean fact — "may the arithmetic flags be read before they
-//! are fully redefined?" — flowing backward. This is the generalized form
-//! of the analysis `subst_pass` originally carried privately: because both
-//! formulations compute the least fixpoint of the same monotone equations
-//! (initialized to `false`, joined with `∨`), the result here is
-//! bit-identical to the old two-pass version, and the substitution pass
-//! now calls [`flags_live_after`] instead.
+//! are fully redefined?" — flowing backward. Block live-ins start at
+//! `false` and grow only by `∨` on the shared worklist driver
+//! ([`fixpoint`]), so they reach the unique least fixpoint whatever the
+//! visiting order; each block is then replayed backward for the
+//! per-instruction answer.
 
-use pgsd_cc::lir::{MFunction, MInst, MTerm};
+use pgsd_cc::lir::{MBlock, MFunction, MInst, MTerm};
 
-use crate::dataflow::{solve, Analysis, Direction};
+use crate::dataflow::fixpoint;
 
-/// Backward EFLAGS liveness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlagsLiveness;
+/// Flags liveness just before `inst`, given liveness just after it.
+fn live_before(inst: &MInst, live_after: bool) -> bool {
+    inst.reads_eflags() || (live_after && !inst.defines_all_eflags())
+}
 
-impl Analysis for FlagsLiveness {
-    type Fact = bool;
-    const DIRECTION: Direction = Direction::Backward;
-
-    fn bottom(&self) -> bool {
-        false
-    }
-
-    /// Flags are dead at `ret`: the ABI makes no promises about EFLAGS.
-    fn boundary(&self, _func: &MFunction) -> bool {
-        false
-    }
-
-    fn join(&self, into: &mut bool, other: &bool) {
-        *into = *into || *other;
-    }
-
-    fn transfer_inst(&self, inst: &MInst, live: &mut bool) {
-        if inst.reads_eflags() {
-            *live = true;
-        } else if inst.defines_all_eflags() {
-            *live = false;
-        }
-    }
-
-    /// A conditional branch is the canonical flags reader.
-    fn transfer_term(&self, term: &MTerm, live: &mut bool) {
-        if matches!(term, MTerm::JCond { .. }) {
-            *live = true;
-        }
-    }
+/// Flags liveness at `block`'s terminator, given every block's live-in. A
+/// conditional branch is the canonical flags reader; at `ret` the flags
+/// are dead, since the ABI makes no promises about EFLAGS.
+fn live_at_term(block: &MBlock, live_in: &[bool]) -> bool {
+    matches!(block.term, MTerm::JCond { .. })
+        || block.term.successors().iter().any(|&s| live_in[s as usize])
 }
 
 /// Per-instruction flags liveness for `func`: `live[b][i]` is `true` when
 /// the flags may be read after instruction `i` of block `b` executes (so a
 /// flag-changing rewrite of instruction `i` is unsafe).
 pub fn flags_live_after(func: &MFunction) -> Vec<Vec<bool>> {
-    let a = FlagsLiveness;
-    let facts = solve(&a, func);
-    (0..func.blocks.len())
-        .map(|b| facts.per_inst(&a, func, b))
+    let blocks = &func.blocks;
+    let preds = func.predecessors();
+    let mut live_in = vec![false; blocks.len()];
+    fixpoint(blocks.len(), (0..blocks.len()).rev(), |b| {
+        let block = &blocks[b];
+        let live = block
+            .instrs
+            .iter()
+            .rev()
+            .fold(live_at_term(block, &live_in), |live, inst| {
+                live_before(inst, live)
+            });
+        if live == live_in[b] {
+            return Vec::new();
+        }
+        live_in[b] = live;
+        preds[b].iter().map(|&p| p as usize).collect()
+    });
+    blocks
+        .iter()
+        .map(|block| {
+            let mut live = live_at_term(block, &live_in);
+            let mut after = vec![false; block.instrs.len()];
+            for (i, inst) in block.instrs.iter().enumerate().rev() {
+                after[i] = live;
+                live = live_before(inst, live);
+            }
+            after
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgsd_cc::lir::{MBlock, MReg, MRhs, MTarget};
+    use pgsd_cc::lir::{MReg, MRhs, MTarget};
     use pgsd_x86::{AluOp, Cond, Reg};
 
     fn func(blocks: Vec<MBlock>) -> MFunction {

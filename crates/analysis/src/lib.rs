@@ -1,14 +1,12 @@
 //! # pgsd-analysis — machine-code dataflow and translation validation
 //!
 //! Static-analysis layer of the *profile-guided automated software
-//! diversity* reproduction (Homescu et al., CGO 2013). Two layers:
+//! diversity* reproduction (Homescu et al., CGO 2013). Three layers:
 //!
-//! 1. **A dataflow framework over LIR** ([`dataflow`]): a generic
-//!    worklist solver over machine CFGs with three concrete analyses —
-//!    register liveness ([`liveness`]), EFLAGS liveness ([`flags`], the
-//!    generalized form of the analysis the substitution pass used to
-//!    carry privately), and stack-depth tracking ([`stack`]) — plus a
-//!    lint driver ([`lint`]) that reports findings as [`AnalysisDiag`]s.
+//! 1. **EFLAGS liveness over LIR** ([`flags`]): the one static fact the
+//!    substitution pass needs about lowered code — whether the flags are
+//!    dead after an instruction — solved on the worklist driver
+//!    ([`dataflow::fixpoint`]) that the abstract interpreter shares.
 //!
 //! 2. **A variant validator** ([`divcheck`]): given a baseline image and
 //!    a diversified image, statically prove they are equivalent modulo
@@ -59,9 +57,6 @@ pub mod dataflow;
 pub mod diag;
 pub mod divcheck;
 pub mod flags;
-pub mod lint;
-pub mod liveness;
-pub mod stack;
 
 pub use addrmap::{AddrMap, BaselineLoc, FuncEntry, ADDRMAP_MAGIC};
 pub use audit::{
@@ -69,6 +64,6 @@ pub use audit::{
     SurvivorCounts,
 };
 pub use cfg::{recover, ByteClass, ByteCounts, RecoveredCfg};
-pub use dataflow::{fixpoint, solve, Analysis, BlockFacts, Direction};
+pub use dataflow::fixpoint;
 pub use diag::{findings_json, AnalysisDiag, Loc, Rule, Severity, DIAG_SCHEMA_VERSION};
 pub use divcheck::{check_images, check_images_mapped, CheckReport, Transforms};

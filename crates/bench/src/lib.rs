@@ -31,7 +31,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pgsd_cache::Cache;
 use pgsd_cc::emit::Image;
 use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
 use pgsd_core::{Session, Strategy};
@@ -105,18 +104,7 @@ pub struct Prepared {
 /// Panics on compilation or training failure — experiment inputs are
 /// fixed, so failure is a bug worth a loud stop.
 pub fn prepare(workload: Workload) -> Prepared {
-    prepare_with(workload, Cache::in_memory())
-}
-
-/// Compiles and trains one workload, memoizing pipeline artifacts in
-/// `cache` — `pgsd bench` passes the same handle twice to measure the
-/// warm-cache speedup.
-///
-/// # Panics
-///
-/// As [`prepare`].
-pub fn prepare_with(workload: Workload, cache: Cache) -> Prepared {
-    let session = Session::from_source(workload.name, &workload.source).cache(cache);
+    let session = Session::from_source(workload.name, &workload.source);
     let profile = session
         .train(&workload.train, DEFAULT_GAS)
         .unwrap_or_else(|e| panic!("{} does not train: {e}", workload.name));
@@ -154,18 +142,6 @@ impl Prepared {
     /// count.
     pub fn population_images(&self, strategy: Strategy, n: usize, threads: usize) -> Vec<Image> {
         pgsd_exec::run_jobs(threads, n, |s| self.diversified(strategy, s as u64))
-    }
-
-    /// Builds a population of diversified text sections on `threads`
-    /// workers. Seeds are `0..n`, results in seed order regardless of
-    /// thread count.
-    pub fn population_texts(&self, strategy: Strategy, n: usize, threads: usize) -> Vec<Vec<u8>> {
-        pgsd_exec::run_jobs(threads, n, |s| {
-            let text = self.diversified(strategy, s as u64).text;
-            // The image is dropped around its text, so the Arc is unique
-            // and unwrapping it costs nothing.
-            Arc::try_unwrap(text).unwrap_or_else(|shared| (*shared).clone())
-        })
     }
 
     /// Runs an image on the reference input, asserting it matches the
@@ -212,22 +188,15 @@ pub struct SliceMeasurement {
     pub runs: u64,
 }
 
-/// Compiles and trains the bench-slice workloads (untimed setup).
+/// Compiles and trains the bench-slice workloads (untimed setup). Each
+/// workload gets a fresh in-memory cache, so the first measurement over
+/// the slice is a cold pass and re-measuring the same slice is the
+/// warm-cache pass `pgsd bench` reports.
 pub fn prepare_bench_slice() -> Vec<Prepared> {
-    prepare_bench_slice_with(&Cache::in_memory())
-}
-
-/// As [`prepare_bench_slice`], sharing one artifact cache across the
-/// slice — preparing and measuring twice with the same handle turns the
-/// second pass into the warm-cache measurement `pgsd bench` reports.
-pub fn prepare_bench_slice_with(cache: &Cache) -> Vec<Prepared> {
     BENCH_SLICE_WORKLOADS
         .iter()
         .map(|name| {
-            prepare_with(
-                pgsd_workloads::by_name(name).unwrap_or_else(|| panic!("{name} in suite")),
-                cache.clone(),
-            )
+            prepare(pgsd_workloads::by_name(name).unwrap_or_else(|| panic!("{name} in suite")))
         })
         .collect()
 }

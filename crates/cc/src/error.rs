@@ -12,11 +12,6 @@ pub struct Pos {
     pub col: u32,
 }
 
-impl Pos {
-    /// The very start of a source file.
-    pub const START: Pos = Pos { line: 1, col: 1 };
-}
-
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)

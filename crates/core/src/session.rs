@@ -367,11 +367,6 @@ impl Session {
         self
     }
 
-    /// The build configuration in effect.
-    pub fn build_config(&self) -> &BuildConfig {
-        &self.config
-    }
-
     /// The cache handle (cloneable; shares the store).
     pub fn cache_handle(&self) -> &Cache {
         &self.cache

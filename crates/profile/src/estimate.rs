@@ -6,8 +6,6 @@
 //! "how much does *real* profiling buy over a static guess" and as a
 //! fallback when no training input exists.
 
-use std::collections::HashMap;
-
 use pgsd_cc::ir::{Function, Module};
 
 use crate::profile::{FuncProfile, Profile};
@@ -102,15 +100,6 @@ fn back_edges(func: &Function) -> Vec<(usize, usize)> {
         }
     }
     out
-}
-
-/// A map from function name to per-block loop depth, for diagnostics.
-pub fn module_loop_depths(module: &Module) -> HashMap<String, Vec<u32>> {
-    module
-        .funcs
-        .iter()
-        .map(|f| (f.name.clone(), loop_depths(f)))
-        .collect()
 }
 
 #[cfg(test)]

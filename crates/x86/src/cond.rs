@@ -97,22 +97,6 @@ impl Cond {
         Cond::from_number(self.number() ^ 1).expect("negation stays in range")
     }
 
-    /// The condition that holds after swapping the two comparison operands,
-    /// e.g. `L` becomes `G` (`a < b` iff `b > a`).
-    pub fn swapped_operands(self) -> Cond {
-        match self {
-            Cond::B => Cond::A,
-            Cond::A => Cond::B,
-            Cond::Ae => Cond::Be,
-            Cond::Be => Cond::Ae,
-            Cond::L => Cond::G,
-            Cond::G => Cond::L,
-            Cond::Ge => Cond::Le,
-            Cond::Le => Cond::Ge,
-            other => other,
-        }
-    }
-
     /// The canonical mnemonic suffix, e.g. `"e"` for `je`.
     pub fn name(self) -> &'static str {
         match self {
@@ -159,13 +143,6 @@ mod tests {
         for c in Cond::ALL {
             assert_eq!(c.negated().negated(), c);
             assert_ne!(c.negated(), c);
-        }
-    }
-
-    #[test]
-    fn swap_is_involution() {
-        for c in Cond::ALL {
-            assert_eq!(c.swapped_operands().swapped_operands(), c);
         }
     }
 

@@ -48,16 +48,6 @@ impl RegSet {
         self.0 == 0
     }
 
-    /// Set union.
-    pub fn union(self, other: RegSet) -> RegSet {
-        RegSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersect(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & other.0)
-    }
-
     /// Members of this set minus members of `other`.
     pub fn minus(self, other: RegSet) -> RegSet {
         RegSet(self.0 & !other.0)
@@ -502,8 +492,6 @@ mod tests {
         s.remove(Reg::Eax);
         assert!(!s.contains(Reg::Eax));
         let t = RegSet::of(&[Reg::Edi, Reg::Esi]);
-        assert_eq!(s.union(t), t);
-        assert_eq!(s.intersect(t), RegSet::of(&[Reg::Edi]));
         assert_eq!(t.minus(s), RegSet::of(&[Reg::Esi]));
         assert_eq!(format!("{t}"), "{esi,edi}");
     }

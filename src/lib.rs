@@ -6,8 +6,9 @@
 //!
 //! * [`x86`] — IA-32 instruction model, encoder, decoder, NOP table;
 //! * [`cc`] — the MiniC optimizing compiler (frontend → IR → LIR → image);
-//! * [`analysis`] — machine-code dataflow framework and the `divcheck`
-//!   translation validator for diversified variants;
+//! * [`analysis`] — EFLAGS liveness for the substitution pass, the
+//!   `divcheck` translation validator for diversified variants, and the
+//!   whole-image static audit;
 //! * [`profile`] — spanning-tree edge profiling and count reconstruction;
 //! * [`emu`] — deterministic x86-32 emulator with a cycle cost model;
 //! * [`core`] — **the paper's contribution**: profile-guided NOP insertion;
