@@ -205,30 +205,17 @@ impl ImageAudit {
 }
 
 /// Canonical finding order for reports: severity (most severe first),
-/// then function, address, block, instruction, rule, message.
+/// then function, address, rule, message.
 pub fn sort_findings(findings: &mut [AnalysisDiag]) {
     findings.sort_by(|a, b| {
+        let key = |d: &AnalysisDiag| {
+            d.loc
+                .as_ref()
+                .map(|l| (l.func.clone(), l.addr.unwrap_or(0)))
+        };
         b.severity
             .cmp(&a.severity)
-            .then_with(|| {
-                let ka = a.loc.as_ref().map(|l| {
-                    (
-                        l.func.clone(),
-                        l.addr.unwrap_or(0),
-                        l.block.unwrap_or(0),
-                        l.inst.unwrap_or(0),
-                    )
-                });
-                let kb = b.loc.as_ref().map(|l| {
-                    (
-                        l.func.clone(),
-                        l.addr.unwrap_or(0),
-                        l.block.unwrap_or(0),
-                        l.inst.unwrap_or(0),
-                    )
-                });
-                ka.cmp(&kb)
-            })
+            .then_with(|| key(a).cmp(&key(b)))
             .then_with(|| a.rule.id().cmp(b.rule.id()))
             .then_with(|| a.message.cmp(&b.message))
     });

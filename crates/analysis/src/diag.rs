@@ -2,8 +2,8 @@
 //!
 //! Rendered in the same terse `location: message` style as the compiler's
 //! `CompileError` (`cc/src/error.rs`), with machine-code locations —
-//! function, block, instruction index, and the instruction's address when
-//! the diagnostic refers to emitted bytes.
+//! the function, and the instruction's address when the diagnostic
+//! refers to emitted bytes.
 //!
 //! Every finding carries a stable [`Rule`] identifier (`PGSDnnn`), so
 //! downstream tooling can filter, baseline, and gate on rule IDs without
@@ -16,7 +16,7 @@ use std::fmt;
 /// Version of the JSON diagnostic schema emitted by [`AnalysisDiag::to_json`]
 /// and the audit/check report documents built on it. Bump on any change to
 /// key names, key order, or value encoding.
-pub const DIAG_SCHEMA_VERSION: u32 = 1;
+pub const DIAG_SCHEMA_VERSION: u32 = 2;
 
 /// How serious a finding is. Ordering is by severity: `Note < Warning <
 /// Error`.
@@ -158,12 +158,8 @@ impl fmt::Display for Rule {
 pub struct Loc {
     /// Function name.
     pub func: String,
-    /// Machine block index, if the diagnostic is block-scoped.
-    pub block: Option<usize>,
-    /// Instruction index within the block, if instruction-scoped.
-    pub inst: Option<usize>,
-    /// Absolute address of emitted bytes, if the diagnostic refers to a
-    /// decoded image rather than LIR.
+    /// Absolute address of the emitted bytes the diagnostic refers to,
+    /// if it is instruction-scoped.
     pub addr: Option<u32>,
 }
 
@@ -180,8 +176,6 @@ impl Loc {
     pub fn addr(name: impl Into<String>, addr: u32) -> Loc {
         Loc {
             func: name.into(),
-            block: None,
-            inst: None,
             addr: Some(addr),
         }
     }
@@ -190,12 +184,6 @@ impl Loc {
 impl fmt::Display for Loc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.func)?;
-        if let Some(b) = self.block {
-            write!(f, ":.L{b}")?;
-        }
-        if let Some(i) = self.inst {
-            write!(f, ":{i}")?;
-        }
         if let Some(a) = self.addr {
             write!(f, "@{a:#x}")?;
         }
@@ -259,8 +247,8 @@ impl AnalysisDiag {
 
     /// Renders the finding as one deterministic JSON object.
     ///
-    /// Key order is fixed (`rule`, `name`, `severity`, `func`, `block`,
-    /// `inst`, `addr`, `message`); absent location fields serialize as
+    /// Key order is fixed (`rule`, `name`, `severity`, `func`, `addr`,
+    /// `message`); absent location fields serialize as
     /// `null` so every finding has an identical shape. Schema changes bump
     /// [`DIAG_SCHEMA_VERSION`].
     pub fn to_json(&self) -> String {
@@ -277,32 +265,17 @@ impl AnalysisDiag {
                 out.push('"');
                 out.push_str(&json_escape(&loc.func));
                 out.push('"');
-                push_opt_usize(&mut out, ",\"block\":", loc.block);
-                push_opt_usize(&mut out, ",\"inst\":", loc.inst);
                 match loc.addr {
                     Some(a) => out.push_str(&format!(",\"addr\":{a}")),
                     None => out.push_str(",\"addr\":null"),
                 }
             }
-            None => out.push_str("null,\"block\":null,\"inst\":null,\"addr\":null"),
+            None => out.push_str("null,\"addr\":null"),
         }
         out.push_str(",\"message\":\"");
         out.push_str(&json_escape(&self.message));
         out.push_str("\"}");
         out
-    }
-}
-
-fn push_opt_usize(out: &mut String, key: &str, v: Option<usize>) {
-    match v {
-        Some(n) => {
-            out.push_str(key);
-            out.push_str(&n.to_string());
-        }
-        None => {
-            out.push_str(key);
-            out.push_str("null");
-        }
     }
 }
 
@@ -358,17 +331,12 @@ mod tests {
 
     #[test]
     fn display_matches_compiler_style() {
-        let loc = Loc {
-            func: "fib".into(),
-            block: Some(2),
-            inst: Some(5),
-            addr: None,
-        };
-        let d = AnalysisDiag::error(Rule::BranchTargetRange, loc, "target out of range");
-        assert_eq!(
-            d.to_string(),
-            "fib:.L2:5: error[PGSD002]: target out of range"
+        let d = AnalysisDiag::error(
+            Rule::BranchTargetRange,
+            Loc::func("fib"),
+            "target out of range",
         );
+        assert_eq!(d.to_string(), "fib: error[PGSD002]: target out of range");
         let d = AnalysisDiag::warning(
             Rule::ValidationMismatch,
             Loc::addr("main", 0x1000),
@@ -422,14 +390,14 @@ mod tests {
         assert_eq!(
             d.to_json(),
             "{\"rule\":\"PGSD013\",\"name\":\"wx-violation\",\"severity\":\"error\",\
-             \"func\":\"main\",\"block\":null,\"inst\":null,\"addr\":134512640,\
+             \"func\":\"main\",\"addr\":134512640,\
              \"message\":\"store writes text at 0x8048010\"}"
         );
         let d = AnalysisDiag::global(Rule::LayoutMismatch, Severity::Warning, "say \"hi\"\n");
         assert_eq!(
             d.to_json(),
             "{\"rule\":\"PGSD007\",\"name\":\"layout-mismatch\",\"severity\":\"warning\",\
-             \"func\":null,\"block\":null,\"inst\":null,\"addr\":null,\
+             \"func\":null,\"addr\":null,\
              \"message\":\"say \\\"hi\\\"\\n\"}"
         );
         assert_eq!(findings_json(&[]), "[]");

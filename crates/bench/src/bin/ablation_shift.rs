@@ -82,7 +82,7 @@ fn main() {
         let measured = pgsd_exec::map_indexed(threads, &jobs, |_, &(with_shift, seed)| {
             let config = BuildConfig {
                 strategy: Some(strategy),
-                shift_max_pad: if with_shift { Some(24) } else { None },
+                shift: with_shift,
                 seed,
                 ..BuildConfig::baseline()
             };

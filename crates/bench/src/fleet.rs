@@ -233,7 +233,7 @@ pub fn fleet_configs(seed: u64) -> Vec<(&'static str, BuildConfig)> {
         (
             "shift",
             BuildConfig {
-                shift_max_pad: Some(24),
+                shift: true,
                 seed,
                 ..base
             },

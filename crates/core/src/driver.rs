@@ -5,9 +5,15 @@
 //! stages below in order, memoizing the seed-independent prefix.
 //!
 //! ```text
-//! source ─frontend─► IR ─┬─lower─► LIR ─apply_diversity─► LIR ─emit─► image ─validate_pair
+//! source ─frontend─► IR ─┬─lower─► LIR ─apply_diversity─► LIR ─emit─► image ─prove─► cache
 //!                        └─instrument─► IR ─lower─► LIR ─emit─► image ─run(train)─► profile
 //! ```
+//!
+//! `prove` is one `divcheck` run against the baseline image. It yields
+//! both the validation verdict ([`BuildConfig::validated`]) and the
+//! baseline↔variant address map a ledgered session records, and runs
+//! at most once per variant: a rebuild whose verdict and ledger record
+//! are already cached skips it.
 //!
 //! # Configuring a build
 //!
@@ -68,6 +74,10 @@ use crate::subst_pass::substitute;
 /// synthetic workloads, small enough to catch runaways).
 pub const DEFAULT_GAS: u64 = 500_000_000;
 
+/// Maximum pad, in bytes, that block shifting inserts before a
+/// function's first block (§6).
+pub const SHIFT_MAX_PAD: usize = 24;
+
 /// Configuration of one diversified build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuildConfig {
@@ -76,8 +86,9 @@ pub struct BuildConfig {
     /// Include the bus-locking `xchg` candidates in the NOP table
     /// (paper's compile-time opt-in).
     pub with_xchg: bool,
-    /// Also apply basic-block shifting (§6) with this maximum pad size.
-    pub shift_max_pad: Option<usize>,
+    /// Also apply basic-block shifting (§6), with pads of at most
+    /// [`SHIFT_MAX_PAD`] bytes.
+    pub shift: bool,
     /// Also apply equivalent-instruction substitution (§6) with this
     /// probability strategy.
     pub substitution: Option<Strategy>,
@@ -100,7 +111,7 @@ impl BuildConfig {
         BuildConfig {
             strategy: None,
             with_xchg: false,
-            shift_max_pad: None,
+            shift: false,
             substitution: None,
             reg_randomize: false,
             seed: 0,
@@ -126,7 +137,7 @@ impl BuildConfig {
         BuildConfig {
             strategy: Some(strategy),
             with_xchg: false,
-            shift_max_pad: Some(24),
+            shift: true,
             substitution: Some(strategy),
             reg_randomize: true,
             seed,
@@ -153,7 +164,7 @@ impl BuildConfig {
         BuildConfig {
             strategy: Some(strategy),
             with_xchg: false,
-            shift_max_pad: shift.then_some(24),
+            shift,
             substitution: subst.then_some(strategy),
             reg_randomize: regrand,
             seed,
@@ -186,7 +197,7 @@ impl BuildConfig {
     pub fn transforms(&self) -> Transforms {
         Transforms {
             nops: self.strategy.is_some(),
-            shift: self.shift_max_pad.is_some(),
+            shift: self.shift,
             subst: self.substitution.is_some(),
             regrand: self.reg_randomize,
             with_xchg: self.with_xchg,
@@ -216,7 +227,7 @@ pub(crate) fn require_profile(config: &BuildConfig, profile: Option<&Profile>) -
 pub(crate) fn is_diversifying(config: &BuildConfig) -> bool {
     config.strategy.is_some()
         || config.substitution.is_some()
-        || config.shift_max_pad.is_some()
+        || config.shift
         || config.reg_randomize
 }
 
@@ -236,9 +247,9 @@ pub fn apply_diversity(funcs: &mut [MFunction], profile: Option<&Profile>, confi
         NopTable::new()
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    if let Some(max_pad) = config.shift_max_pad {
+    if config.shift {
         let _s = tel.span("shift_pass");
-        shift_blocks(funcs, max_pad, &table, &mut rng, tel);
+        shift_blocks(funcs, SHIFT_MAX_PAD, &table, &mut rng, tel);
     }
     if let Some(strategy) = &config.substitution {
         let _s = tel.span("subst_pass");
@@ -247,27 +258,6 @@ pub fn apply_diversity(funcs: &mut [MFunction], profile: Option<&Profile>, confi
     if let Some(strategy) = &config.strategy {
         let _s = tel.span("nop_pass");
         insert_nops_with(funcs, strategy, profile, &table, &mut rng, tel);
-    }
-}
-
-/// Checks `image` against `baseline` under the transforms `config`
-/// declares, recording verdict counters; a refused proof is an error.
-pub(crate) fn validate_pair(baseline: &Image, image: &Image, config: &BuildConfig) -> Result<()> {
-    let tel = &config.telemetry;
-    match pgsd_analysis::check_images(baseline, image, &config.transforms()) {
-        Ok(_) => {
-            tel.add("validate.passed", 1);
-            Ok(())
-        }
-        Err(diags) => {
-            tel.add("validate.failed", 1);
-            tel.add("validate.findings", diags.len() as u64);
-            let rendered: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-            Err(CompileError::new(format!(
-                "variant failed static validation:\n{}",
-                rendered.join("\n")
-            )))
-        }
     }
 }
 

@@ -70,8 +70,8 @@ use pgsd_telemetry::Telemetry;
 use pgsd_x86::nop::NopTable;
 
 use crate::driver::{
-    apply_diversity, apply_pokes, is_diversifying, load, require_profile, validate_pair,
-    BuildConfig, Input,
+    apply_diversity, apply_pokes, is_diversifying, load, require_profile, BuildConfig, Input,
+    SHIFT_MAX_PAD,
 };
 
 /// Version of the pipeline as far as cache keys are concerned. Folded
@@ -123,6 +123,8 @@ fn lir_key(module_key: Key, reg_seed: Option<u64>, instrumented: bool) -> Key {
 /// Everything about a config that can change emitted bytes. For a
 /// non-diversifying config that is nothing at all (the seed and
 /// transform fields are dead), so every baseline build shares one key.
+/// Shifting renders as its maximum pad, `Some(24)` or `None`: the text
+/// every existing image key and ledger `config` key was derived from.
 fn config_fingerprint(h: &mut Fnv64, config: &BuildConfig) {
     use std::fmt::Write as _;
     if !is_diversifying(config) {
@@ -134,7 +136,7 @@ fn config_fingerprint(h: &mut Fnv64, config: &BuildConfig) {
         "{:?}|{:?}|{:?}|{}|{}|{}",
         config.strategy,
         config.substitution,
-        config.shift_max_pad,
+        config.shift.then_some(SHIFT_MAX_PAD),
         config.with_xchg,
         config.reg_randomize,
         config.seed
@@ -442,17 +444,15 @@ impl Session {
     pub fn build_with(&self, config: &BuildConfig) -> Result<Image> {
         let (module, mkey) = self.resolve()?;
         let profile = self.guide();
-        let image = build_cached(module, mkey, profile.as_ref(), config, &self.cache)?;
+        let image = build_cached(
+            module,
+            mkey,
+            profile.as_ref(),
+            config,
+            &self.cache,
+            self.ledger,
+        )?;
         if self.ledger && is_diversifying(config) {
-            record_ledger(
-                module,
-                mkey,
-                profile.as_ref(),
-                config,
-                &image,
-                &self.cache,
-                &config.telemetry,
-            )?;
             self.cache.flush_ledger(&config.telemetry);
         }
         Ok(image)
@@ -553,16 +553,12 @@ impl Session {
         if !self.config.reg_randomize {
             lowered_cached(module, mkey, None, &self.cache, tel)?;
         }
-        let record = self.ledger && is_diversifying(&self.config);
-        if record {
-            // Pre-warm the shared baseline image so per-job ledger
-            // recording hits the cache identically regardless of which
-            // job would otherwise have built it first.
-            let baseline_config = BuildConfig {
-                telemetry: tel.clone(),
-                ..BuildConfig::baseline()
-            };
-            build_cached(module, mkey, None, &baseline_config, &self.cache)?;
+        let diversifying = is_diversifying(&self.config);
+        if diversifying && (self.ledger || self.config.validate) {
+            // Pre-warm the shared baseline image so every job's proof
+            // hits the cache identically regardless of which job would
+            // otherwise have built it first.
+            baseline_cached(module, mkey, &self.cache, tel)?;
         }
         let seed_base = self.config.seed;
         let jobs = pgsd_exec::run_jobs(self.threads, n, |i| {
@@ -570,21 +566,14 @@ impl Session {
             let mut config = self.config.clone();
             config.seed = seed_base + i as u64;
             config.telemetry = child.clone();
-            let result = build_cached(module, mkey, profile.as_ref(), &config, &self.cache)
-                .and_then(|image| {
-                    if record {
-                        record_ledger(
-                            module,
-                            mkey,
-                            profile.as_ref(),
-                            &config,
-                            &image,
-                            &self.cache,
-                            &child,
-                        )?;
-                    }
-                    Ok(image)
-                });
+            let result = build_cached(
+                module,
+                mkey,
+                profile.as_ref(),
+                &config,
+                &self.cache,
+                self.ledger,
+            );
             (result, child)
         });
         let mut images = Vec::with_capacity(n);
@@ -592,7 +581,7 @@ impl Session {
             tel.merge_from(&child);
             images.push(result?);
         }
-        if record {
+        if self.ledger && diversifying {
             self.cache.flush_ledger(tel);
         }
         Ok(images)
@@ -630,11 +619,7 @@ impl Session {
         let Some(loc) = map.variant_to_baseline(fault_addr) else {
             return miss(tel);
         };
-        let baseline_config = BuildConfig {
-            telemetry: tel.clone(),
-            ..BuildConfig::baseline()
-        };
-        let baseline = build_cached(module, mkey, None, &baseline_config, &self.cache)?;
+        let baseline = baseline_cached(module, mkey, &self.cache, tel)?;
         let inst = match baseline.text.get((loc.addr - baseline.base) as usize..) {
             Some(window) => match pgsd_x86::decode(window) {
                 Ok(d) => match d.body {
@@ -681,11 +666,7 @@ impl Session {
         let tel = &self.config.telemetry;
         let _span = tel.span("audit");
         let profile = self.guide();
-        let baseline_config = BuildConfig {
-            telemetry: tel.clone(),
-            ..BuildConfig::baseline()
-        };
-        let baseline = build_cached(module, mkey, None, &baseline_config, &self.cache)?;
+        let baseline = baseline_cached(module, mkey, &self.cache, tel)?;
         let scan = ScanConfig::default();
         let table = if self.config.with_xchg {
             NopTable::with_xchg()
@@ -702,8 +683,8 @@ impl Session {
             let mut config = self.config.clone();
             config.seed = seed_base + i as u64;
             config.telemetry = child.clone();
-            let result =
-                build_cached(module, mkey, profile.as_ref(), &config, &self.cache).map(|image| {
+            let result = build_cached(module, mkey, profile.as_ref(), &config, &self.cache, false)
+                .map(|image| {
                     let rep = survivor(&baseline.text, &image.text, &table, &scan);
                     let audit = audit_image(&image, &rep.survivors);
                     child.add("audit.variants", 1);
@@ -893,56 +874,6 @@ pub fn transforms_label(t: &Transforms) -> String {
     }
 }
 
-/// Records one diversified image in the cache's provenance ledger:
-/// builds (or fetches) the shared baseline, reruns the translation
-/// validator to recover the baseline↔variant address map, and stores
-/// the record under the image's content-hash id. A variant that fails
-/// map recovery is a hard error — an unvalidatable variant must not
-/// ship to a fleet that cannot symbolicate it.
-fn record_ledger(
-    module: &Module,
-    mkey: Key,
-    profile: Option<&Guide>,
-    config: &BuildConfig,
-    image: &Image,
-    cache: &Cache,
-    tel: &Telemetry,
-) -> Result<()> {
-    let baseline_config = BuildConfig {
-        telemetry: tel.clone(),
-        ..BuildConfig::baseline()
-    };
-    let baseline = build_cached(module, mkey, None, &baseline_config, cache)?;
-    let t = config.transforms();
-    let map = check_images_mapped(&baseline, image, &t).map_err(|diags| {
-        CompileError::new(format!(
-            "ledger map recovery failed for seed {}: {} finding(s), first: {}",
-            config.seed,
-            diags.len(),
-            diags.first().map_or(String::new(), |d| d.message.clone()),
-        ))
-    })?;
-    let profile_hex = match profile {
-        Some(g) if is_diversifying(config) => g.key.hex(),
-        _ => String::new(),
-    };
-    let mut ckey = keyer("config");
-    config_fingerprint(&mut ckey, config);
-    cache.ledger_put(
-        LedgerRecord {
-            variant_id: variant_id(image),
-            seed: config.seed,
-            transforms: transforms_label(&t),
-            module_key: mkey.hex(),
-            config: ckey.key().hex(),
-            profile: profile_hex,
-            addr_map: map.1.encode(),
-        },
-        tel,
-    );
-    Ok(())
-}
-
 /// The seed-independent prefix tail: memoized lowering.
 fn lowered_cached(
     module: &Module,
@@ -962,14 +893,17 @@ fn lowered_cached(
 
 /// One cached build: image-level memoization, then the diversifying
 /// delta over the memoized baseline LIR. This is the only function that
-/// runs lower → diversify → emit → validate in order; a session with
-/// [`Cache::disabled`] runs it cold and produces the same bytes.
+/// runs lower → diversify → emit → prove in order; a session with
+/// [`Cache::disabled`] runs it cold and produces the same bytes. A
+/// diversified image is proven (see [`prove`]) before it is cached, so
+/// a variant that fails its proof is never stored.
 fn build_cached(
     module: &Module,
     mkey: Key,
     profile: Option<&Guide>,
     config: &BuildConfig,
     cache: &Cache,
+    ledger: bool,
 ) -> Result<Image> {
     let tel = &config.telemetry;
     let _build_span = tel.span("build");
@@ -979,8 +913,8 @@ fn build_cached(
     let ikey = image_key(mkey, config, profile);
     if let Some(hit) = cache.get_image(ikey, tel) {
         let image = (*hit).clone();
-        if config.validate && diversifying {
-            ensure_validated(module, mkey, &image, ikey, config, cache)?;
+        if diversifying {
+            prove(module, mkey, profile, config, &image, ikey, cache, ledger)?;
         }
         return Ok(image);
     }
@@ -993,42 +927,85 @@ fn build_cached(
     let image = if diversifying {
         let mut funcs = (*lowered).clone();
         apply_diversity(&mut funcs, consulted, config);
-        emit_image_with(&funcs, module, tel)?
+        let image = emit_image_with(&funcs, module, tel)?;
+        prove(module, mkey, profile, config, &image, ikey, cache, ledger)?;
+        image
     } else {
         emit_image_with(&lowered, module, tel)?
     };
-    if config.validate && diversifying {
-        ensure_validated(module, mkey, &image, ikey, config, cache)?;
-    }
     cache.put_image(ikey, Arc::new(image.clone()), tel);
     Ok(image)
 }
 
-/// Validates `image` against the (cached) baseline, memoizing passing
-/// verdicts so a cache-hit build does not re-prove what it proved when
-/// the image was first produced.
-fn ensure_validated(
+/// The baseline image of `module`, built or fetched from `cache`, with
+/// telemetry recorded into `tel`.
+fn baseline_cached(module: &Module, mkey: Key, cache: &Cache, tel: &Telemetry) -> Result<Image> {
+    let config = BuildConfig::baseline().with_telemetry(tel.clone());
+    build_cached(module, mkey, None, &config, cache, false)
+}
+
+/// The one translation-validation proof of a diversified build. A
+/// single `divcheck` run proves `image` equivalent to the baseline under
+/// the declared transforms and recovers the baseline↔variant address
+/// map. It yields the two facts a build may need: the verdict, stored
+/// when `config.validate` is set, and the provenance-ledger record
+/// carrying the map, stored when `ledger` is set. The proof runs only
+/// if the cache lacks one of the needed facts, so a variant is proven
+/// once however often it is rebuilt or re-served. A refused proof is an
+/// error listing every finding.
+#[allow(clippy::too_many_arguments)]
+fn prove(
     module: &Module,
     mkey: Key,
+    profile: Option<&Guide>,
+    config: &BuildConfig,
     image: &Image,
     ikey: Key,
-    config: &BuildConfig,
     cache: &Cache,
+    ledger: bool,
 ) -> Result<()> {
     let tel = &config.telemetry;
     let vkey = verdict_key(ikey);
-    if cache.get_verdict(vkey, tel) == Some(true) {
-        tel.add("validate.passed", 1);
-        return Ok(());
+    let need_verdict = config.validate && cache.get_verdict(vkey, tel) != Some(true);
+    let record_id = ledger
+        .then(|| variant_id(image))
+        .filter(|id| cache.ledger_get(id).is_none());
+    if need_verdict || record_id.is_some() {
+        let _span = tel.span("validate");
+        let baseline = baseline_cached(module, mkey, cache, tel)?;
+        let t = config.transforms();
+        let (_, map) = check_images_mapped(&baseline, image, &t).map_err(|diags| {
+            tel.add("validate.failed", 1);
+            tel.add("validate.findings", diags.len() as u64);
+            let rendered: Vec<String> = diags.iter().map(ToString::to_string).collect();
+            CompileError::new(format!(
+                "variant failed static validation:\n{}",
+                rendered.join("\n")
+            ))
+        })?;
+        if need_verdict {
+            cache.put_verdict(vkey, true, tel);
+        }
+        if let Some(variant_id) = record_id {
+            let mut ckey = keyer("config");
+            config_fingerprint(&mut ckey, config);
+            cache.ledger_put(
+                LedgerRecord {
+                    variant_id,
+                    seed: config.seed,
+                    transforms: transforms_label(&t),
+                    module_key: mkey.hex(),
+                    config: ckey.key().hex(),
+                    profile: profile.map_or(String::new(), |g| g.key.hex()),
+                    addr_map: map.encode(),
+                },
+                tel,
+            );
+        }
     }
-    let _span = tel.span("validate");
-    let baseline_config = BuildConfig {
-        telemetry: tel.clone(),
-        ..BuildConfig::baseline()
-    };
-    let baseline = build_cached(module, mkey, None, &baseline_config, cache)?;
-    validate_pair(&baseline, image, config)?;
-    cache.put_verdict(vkey, true, tel);
+    if config.validate {
+        tel.add("validate.passed", 1);
+    }
     Ok(())
 }
 
@@ -1254,6 +1231,28 @@ mod tests {
             Some(&1),
             "second build reuses the verdict"
         );
+    }
+
+    #[test]
+    fn a_ledgered_validated_variant_is_proven_once() {
+        let tel = Telemetry::enabled();
+        let config = BuildConfig::diversified(Strategy::uniform(0.5), 4)
+            .validated()
+            .with_telemetry(tel.clone());
+        let session = Session::from_source("t", SRC).config(config).ledger(true);
+        // Build the baseline first: from here on, every baseline fetch
+        // (one per proof) is an image-cache hit.
+        session
+            .build_with(&BuildConfig::baseline().with_telemetry(tel.clone()))
+            .unwrap();
+        let image_hits = || tel.snapshot().counters["cache.hits{kind=image}"];
+        let a = session.build().unwrap();
+        assert_eq!(image_hits(), 1, "a fresh build runs one proof");
+        let b = session.build().unwrap();
+        assert_eq!(image_hits(), 2, "a rebuild hits its image and runs none");
+        assert_eq!(a, b);
+        assert!(session.cache_handle().ledger_get(&variant_id(&a)).is_some());
+        assert_eq!(tel.snapshot().counters["validate.passed"], 2);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl TransformSet {
                 ..BuildConfig::baseline()
             },
             TransformSet::Shift => BuildConfig {
-                shift_max_pad: Some(24),
+                shift: true,
                 seed: variant_seed,
                 ..BuildConfig::baseline()
             },

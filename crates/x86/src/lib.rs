@@ -39,7 +39,6 @@ mod reg;
 
 pub use cond::Cond;
 pub use decode::{decode, decode_all, Body, CfKind, Class, DecodeError, Decoded, OtherInst};
-pub use effects::{Effects, RegSet};
 pub use encode::{assemble, encode, encoded_len, EncodeError};
 pub use inst::{AluOp, Inst, Mem, Scale, ShiftOp};
 pub use reg::Reg;

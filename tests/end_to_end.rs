@@ -140,7 +140,7 @@ fn xchg_table_and_shifting_preserve_semantics() {
     let config = BuildConfig {
         strategy: Some(Strategy::with_curve(0.10, 0.50, Curve::Linear)),
         with_xchg: true,
-        shift_max_pad: Some(32),
+        shift: true,
         ..BuildConfig::baseline()
     };
     let config = BuildConfig { seed: 5, ..config };

@@ -22,7 +22,7 @@ fn combos(seed: u64) -> Vec<(&'static str, BuildConfig)> {
         (
             "nop+shift",
             BuildConfig {
-                shift_max_pad: Some(24),
+                shift: true,
                 ..BuildConfig::diversified(s, seed)
             },
         ),
