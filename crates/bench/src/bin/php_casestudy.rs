@@ -16,30 +16,23 @@ use pgsd_bench::{versions, write_csv, ProgressTimer};
 use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
 use pgsd_core::{Session, Strategy};
 use pgsd_gadget::{
-    attack_scan_config, check_attack, check_attack_on_gadgets, find_gadgets, gadget_at,
-    AttackTemplate, Gadget,
+    attack_scan_config, check_attack, check_attack_on_gadgets, gadget_at, survivor, AttackTemplate,
+    Gadget,
 };
 use pgsd_workloads::phpvm::{clbg_programs, php_source};
 use pgsd_x86::nop::NopTable;
 
-/// Survivor restricted to the attack scanner's gadget definition: returns
-/// the original gadgets that survive (same offset, NOP-normalized
-/// equality), as `Gadget`s into the *original* text.
+/// Survivor under the attack scanner's gadget definition: the original
+/// gadgets that survive (same offset, NOP-normalized equality), as
+/// `Gadget`s into the *original* text.
 fn surviving_attack_gadgets(original: &[u8], diversified: &[u8], table: &NopTable) -> Vec<Gadget> {
     let cfg = attack_scan_config();
-    find_gadgets(original, &cfg)
+    survivor(original, diversified, table, &cfg)
+        .survivors
         .into_iter()
-        .filter(|g| {
-            if g.offset >= diversified.len() {
-                return false;
-            }
-            match gadget_at(diversified, g.offset, &cfg) {
-                Some(len) => {
-                    table.strip(g.bytes(original))
-                        == table.strip(&diversified[g.offset..g.offset + len])
-                }
-                None => false,
-            }
+        .map(|offset| Gadget {
+            offset,
+            len: gadget_at(original, offset, &cfg).expect("a survivor is a baseline gadget"),
         })
         .collect()
 }

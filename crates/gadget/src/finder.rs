@@ -12,8 +12,13 @@
 //! ROPgadget and the microgadgets scanner), the terminator set can be
 //! extended with syscall gates (`int n`, `sysenter`), since syscall
 //! gadgets are what those tools hunt for.
+//!
+//! A whole-section scan first builds a [`TextIndex`]: one `decode` per
+//! byte offset, keeping only the length and the [`Flow`] class. Every
+//! candidate start then walks the index instead of decoding again, so
+//! each offset is decoded exactly once however many gadgets overlap it.
 
-use pgsd_x86::{decode, CfKind, Class, DecodeError, Decoded};
+use pgsd_x86::{decode, CfKind, Class, Decoded};
 
 /// Which instructions may terminate a gadget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,17 +32,46 @@ pub enum TerminatorSet {
 }
 
 impl TerminatorSet {
-    fn matches(self, d: &Decoded) -> bool {
-        if d.is_free_branch() {
-            return true;
+    fn matches(self, flow: Flow) -> bool {
+        match flow {
+            Flow::FreeBranch => true,
+            Flow::Syscall => self == TerminatorSet::FreeBranchesAndSyscalls,
+            Flow::Normal | Flow::OtherControlFlow => false,
         }
-        matches!(
-            (self, d.class()),
-            (
-                TerminatorSet::FreeBranchesAndSyscalls,
-                Class::ControlFlow(CfKind::Syscall)
-            )
-        )
+    }
+}
+
+/// The gadget scanner's view of one instruction's control flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Flow {
+    /// No control transfer.
+    Normal,
+    /// A return, indirect jump or indirect call: always a terminator.
+    FreeBranch,
+    /// A syscall gate: a terminator only for
+    /// [`TerminatorSet::FreeBranchesAndSyscalls`].
+    Syscall,
+    /// Any other control transfer; it disqualifies a gadget.
+    OtherControlFlow,
+}
+
+impl Flow {
+    const ALL: [Flow; 4] = [
+        Flow::Normal,
+        Flow::FreeBranch,
+        Flow::Syscall,
+        Flow::OtherControlFlow,
+    ];
+
+    /// The class of a decoded instruction.
+    pub fn of(d: &Decoded) -> Flow {
+        match d.class() {
+            c if c.is_free_branch() => Flow::FreeBranch,
+            Class::ControlFlow(CfKind::Syscall) => Flow::Syscall,
+            Class::ControlFlow(_) => Flow::OtherControlFlow,
+            _ => Flow::Normal,
+        }
     }
 }
 
@@ -79,20 +113,22 @@ impl Gadget {
     }
 }
 
-/// Decodes the sequence starting at `offset`; returns the gadget length if
-/// it forms a valid gadget under `cfg`.
-pub fn gadget_at(text: &[u8], offset: usize, cfg: &ScanConfig) -> Option<usize> {
+/// The gadget walk shared by [`gadget_at`] and [`TextIndex::gadget_at`]:
+/// `at(pos)` gives the length and class of the instruction at `pos`, or
+/// `None` where nothing valid decodes.
+fn walk(
+    offset: usize,
+    cfg: &ScanConfig,
+    at: impl Fn(usize) -> Option<(usize, Flow)>,
+) -> Option<usize> {
     let mut pos = offset;
     for _ in 0..cfg.max_insts {
-        let d = match decode(&text[pos..]) {
-            Ok(d) => d,
-            Err(DecodeError::Truncated) | Err(DecodeError::Invalid) => return None,
-        };
-        pos += d.len;
-        if cfg.terminators.matches(&d) {
+        let (len, flow) = at(pos)?;
+        pos += len;
+        if cfg.terminators.matches(flow) {
             return Some(pos - offset);
         }
-        if d.is_control_flow() {
+        if flow != Flow::Normal {
             // Interior control flow disqualifies the sequence (paper
             // §5.2: "no control-flow instructions except a free branch at
             // the end").
@@ -102,46 +138,127 @@ pub fn gadget_at(text: &[u8], offset: usize, cfg: &ScanConfig) -> Option<usize> 
     None
 }
 
+/// Decodes the sequence starting at `offset`; returns the gadget length if
+/// it forms a valid gadget under `cfg`.
+pub fn gadget_at(text: &[u8], offset: usize, cfg: &ScanConfig) -> Option<usize> {
+    walk(offset, cfg, |pos| {
+        decode(&text[pos..]).ok().map(|d| (d.len, Flow::of(&d)))
+    })
+}
+
+/// Every offset of a text section decoded once: the instruction length
+/// (or invalid) and its [`Flow`] class, one byte per offset.
+#[derive(Debug, Clone)]
+pub struct TextIndex {
+    /// Length in the low nibble (0 where `decode` fails: x86 instructions
+    /// are 1–15 bytes), `Flow` discriminant above it.
+    entries: Vec<u8>,
+}
+
+impl TextIndex {
+    /// Decodes `text` at every offset.
+    pub fn new(text: &[u8]) -> TextIndex {
+        let entries = (0..text.len())
+            .map(|t| match decode(&text[t..]) {
+                // `decode` caps lengths at `MAX_INST_LEN` (15).
+                Ok(d) => d.len as u8 | (Flow::of(&d) as u8) << 4,
+                Err(_) => 0,
+            })
+            .collect();
+        TextIndex { entries }
+    }
+
+    /// The number of offsets indexed (the text's length).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` for an empty text.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The length and class of the instruction at `offset`, or `None`
+    /// where `decode` fails (invalid or truncated) or past the end.
+    #[inline]
+    pub fn at(&self, offset: usize) -> Option<(usize, Flow)> {
+        match *self.entries.get(offset)? {
+            0 => None,
+            e => Some((usize::from(e & 0xF), Flow::ALL[usize::from(e >> 4)])),
+        }
+    }
+
+    /// [`gadget_at`] on the indexed text, without decoding.
+    fn gadget_at(&self, offset: usize, cfg: &ScanConfig) -> Option<usize> {
+        walk(offset, cfg, |pos| self.at(pos))
+    }
+
+    /// [`find_gadgets`] on the indexed text, without decoding.
+    fn gadgets(&self, cfg: &ScanConfig) -> Vec<Gadget> {
+        (0..self.len())
+            .filter_map(|offset| {
+                let len = self.gadget_at(offset, cfg)?;
+                (len <= cfg.max_back + 1).then_some(Gadget { offset, len })
+            })
+            .collect()
+    }
+}
+
 /// Finds all gadgets in `text`.
 ///
 /// Every start offset producing a valid sequence is a distinct gadget —
 /// the counting convention of ROP scanners (and the paper's Table 2,
 /// whose "Gadgets Baseline" column counts hundreds of thousands for large
-/// binaries).
+/// binaries). A gadget may be at most `max_back + 1` bytes long.
 pub fn find_gadgets(text: &[u8], cfg: &ScanConfig) -> Vec<Gadget> {
-    let mut out = Vec::new();
-    // First locate terminators, then walk back — far cheaper than trying
-    // every offset as a start.
-    let mut term_ends = vec![false; text.len() + 1];
-    for t in 0..text.len() {
-        if let Ok(d) = decode(&text[t..]) {
-            if cfg.terminators.matches(&d) {
-                term_ends[t + d.len] = true;
-            }
-        }
-    }
-    for start in 0..text.len() {
-        let window_end = (start + cfg.max_back + 1).min(text.len());
-        // Quick reject: a gadget from `start` must end at some terminator
-        // end within the window.
-        if !term_ends[start..=window_end.min(term_ends.len() - 1)]
-            .iter()
-            .any(|&b| b)
-        {
-            continue;
-        }
-        if let Some(len) = gadget_at(text, start, cfg) {
-            if len <= cfg.max_back + 1 {
-                out.push(Gadget { offset: start, len });
-            }
-        }
-    }
-    out
+    TextIndex::new(text).gadgets(cfg)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// `index` holds exactly what `decode` says at every offset of `text`.
+    fn assert_index_matches_decode(text: &[u8], index: &TextIndex) {
+        assert_eq!(index.len(), text.len());
+        for t in 0..text.len() {
+            let expected = decode(&text[t..]).ok().map(|d| (d.len, Flow::of(&d)));
+            assert_eq!(index.at(t), expected, "offset {t} of {text:02x?}");
+        }
+        assert_eq!(index.at(text.len()), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The index agrees with `decode` everywhere, and walking it finds
+        /// the same gadgets as decoding does, under both terminator sets.
+        #[test]
+        fn index_agrees_with_decode_on_random_bytes(
+            text in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let index = TextIndex::new(&text);
+            assert_index_matches_decode(&text, &index);
+            for terminators in [TerminatorSet::FreeBranches, TerminatorSet::FreeBranchesAndSyscalls] {
+                let cfg = ScanConfig { terminators, ..ScanConfig::default() };
+                for t in 0..text.len() {
+                    prop_assert_eq!(index.gadget_at(t, &cfg), gadget_at(&text, t, &cfg));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_marks_invalid_and_truncated_offsets() {
+        // ud2; mov eax, imm32 cut short; ret
+        let text = [0x0F, 0x0B, 0xB8, 0x01, 0xC3];
+        let index = TextIndex::new(&text);
+        assert_index_matches_decode(&text, &index);
+        assert_eq!(index.at(2), None, "truncated");
+        assert_eq!(index.at(4), Some((1, Flow::FreeBranch)));
+    }
 
     #[test]
     fn finds_simple_ret_gadgets() {

@@ -24,6 +24,6 @@ pub use attack::{
     attack_scan_config, check_attack, check_attack_on_gadgets, classify, controlled_registers,
     primitives_of_gadgets, AttackTemplate, Feasibility, Primitive,
 };
-pub use finder::{find_gadgets, gadget_at, Gadget, ScanConfig, TerminatorSet};
+pub use finder::{find_gadgets, gadget_at, Flow, Gadget, ScanConfig, TerminatorSet, TextIndex};
 pub use population::{population_survival, PopulationReport};
 pub use survivor::{average_survivors, normalized_gadgets, survivor, SurvivorReport};

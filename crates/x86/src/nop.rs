@@ -133,27 +133,37 @@ impl fmt::Display for NopKind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NopTable {
+    /// Candidates in table order; the NOP pass draws indices into it.
     kinds: Vec<NopKind>,
+    /// The same candidates longest first: the order [`NopTable::strip`]
+    /// tries them in.
+    strip_order: Vec<NopKind>,
 }
 
 impl NopTable {
+    fn from_kinds(kinds: Vec<NopKind>) -> NopTable {
+        // Prefer longer encodings so two-byte candidates are removed
+        // atomically; the sort is stable, so equal lengths keep table order.
+        let mut strip_order = kinds.clone();
+        strip_order.sort_by_key(|k| std::cmp::Reverse(k.len()));
+        NopTable { kinds, strip_order }
+    }
+
     /// The default table: the five candidates that do not lock the bus.
     pub fn new() -> NopTable {
-        NopTable {
-            kinds: NopKind::ALL
+        NopTable::from_kinds(
+            NopKind::ALL
                 .iter()
                 .copied()
                 .filter(|k| !k.locks_bus())
                 .collect(),
-        }
+        )
     }
 
     /// The full seven-candidate table including the `xchg` forms
     /// (the paper's compile-time opt-in for extra diversity).
     pub fn with_xchg() -> NopTable {
-        NopTable {
-            kinds: NopKind::ALL.to_vec(),
-        }
+        NopTable::from_kinds(NopKind::ALL.to_vec())
     }
 
     /// Number of candidates.
@@ -192,24 +202,28 @@ impl NopTable {
     /// *more* similar, the comparison built on it conservatively
     /// overestimates survivors, as in the paper.
     pub fn strip(&self, bytes: &[u8]) -> Vec<u8> {
-        // Prefer longer encodings so two-byte candidates are removed
-        // atomically.
-        let mut kinds: Vec<NopKind> = self.kinds.clone();
-        kinds.sort_by_key(|k| std::cmp::Reverse(k.len()));
-        let mut out = Vec::with_capacity(bytes.len());
+        self.stripped(bytes).collect()
+    }
+
+    /// [`NopTable::strip`] as an iterator over the residue, for comparing
+    /// normalized sequences without allocating.
+    pub fn stripped<'a>(&'a self, bytes: &'a [u8]) -> impl Iterator<Item = u8> + 'a {
         let mut i = 0;
-        'outer: while i < bytes.len() {
-            for &k in &kinds {
-                let enc = k.bytes();
-                if bytes[i..].starts_with(enc) {
-                    i += enc.len();
-                    continue 'outer;
+        std::iter::from_fn(move || loop {
+            let rest = &bytes[i..];
+            let &first = rest.first()?;
+            match self
+                .strip_order
+                .iter()
+                .find(|k| rest.starts_with(k.bytes()))
+            {
+                Some(k) => i += k.len(),
+                None => {
+                    i += 1;
+                    return Some(first);
                 }
             }
-            out.push(bytes[i]);
-            i += 1;
-        }
-        out
+        })
     }
 }
 

@@ -6,8 +6,10 @@ use pgsd::cc::emit::Image;
 use pgsd::core::driver::BuildConfig;
 use pgsd::core::{Session, Strategy};
 use pgsd::gadget::{
-    check_attack, find_gadgets, population_survival, survivor, AttackTemplate, ScanConfig,
+    check_attack, find_gadgets, population_survival, survivor, AttackTemplate, Flow, ScanConfig,
+    TextIndex,
 };
+use pgsd::x86::decode;
 use pgsd::x86::nop::NopTable;
 
 const PROGRAM: &str = r#"
@@ -168,5 +170,24 @@ fn attack_templates_agree_with_gadget_richness() {
             verdict.missing_regs,
             verdict.missing_prims
         );
+    }
+}
+
+#[test]
+fn text_index_agrees_with_decode_on_every_workload() {
+    // Each workload's baseline and one variant with every transform on:
+    // the index must hold `decode`'s length and class at every offset.
+    let full = BuildConfig::full_diversity(Strategy::uniform(0.5), 1);
+    for w in pgsd::workloads::spec_suite() {
+        let session = Session::from_source(w.name, &w.source);
+        for config in [BuildConfig::baseline(), full.clone()] {
+            let text = session.build_with(&config).unwrap().text;
+            let index = TextIndex::new(&text);
+            assert_eq!(index.len(), text.len());
+            for t in 0..text.len() {
+                let expected = decode(&text[t..]).ok().map(|d| (d.len, Flow::of(&d)));
+                assert_eq!(index.at(t), expected, "{} offset {t:#x}", w.name);
+            }
+        }
     }
 }
