@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use pgsd_telemetry::json::quote;
+
 /// Version of the JSON diagnostic schema emitted by [`AnalysisDiag::to_json`]
 /// and the audit/check report documents built on it. Bump on any change to
 /// key names, key order, or value encoding.
@@ -262,9 +264,7 @@ impl AnalysisDiag {
         out.push_str("\",\"func\":");
         match &self.loc {
             Some(loc) => {
-                out.push('"');
-                out.push_str(&json_escape(&loc.func));
-                out.push('"');
+                out.push_str(&quote(&loc.func));
                 match loc.addr {
                     Some(a) => out.push_str(&format!(",\"addr\":{a}")),
                     None => out.push_str(",\"addr\":null"),
@@ -272,9 +272,9 @@ impl AnalysisDiag {
             }
             None => out.push_str("null,\"addr\":null"),
         }
-        out.push_str(",\"message\":\"");
-        out.push_str(&json_escape(&self.message));
-        out.push_str("\"}");
+        out.push_str(",\"message\":");
+        out.push_str(&quote(&self.message));
+        out.push('}');
         out
     }
 }
@@ -290,23 +290,6 @@ pub fn findings_json(diags: &[AnalysisDiag]) -> String {
         out.push_str(&d.to_json());
     }
     out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -9,16 +9,17 @@
 //! deterministic, so repeated runs of one version are unnecessary.
 
 use pgsd_bench::{
-    geomean_pct, perf_seeds, prepare, row, selected_suite, write_csv, MetricsSink, ProgressTimer,
+    geomean_pct, perf_seeds, prepare, row, selected_suite, write_csv, write_metrics, ProgressTimer,
 };
 use pgsd_core::driver::DEFAULT_GAS;
 use pgsd_core::Strategy;
+use pgsd_telemetry::{labeled, Telemetry};
 
 fn main() {
     let configs = Strategy::paper_configs();
     let seeds = perf_seeds();
     let threads = pgsd_bench::threads();
-    let sink = MetricsSink::new("fig4_overhead");
+    let tel = Telemetry::enabled();
     let t = ProgressTimer::start(format!(
         "figure 4: {} benchmarks × {} configs × {seeds} seeds ({threads} threads)",
         selected_suite().len(),
@@ -45,8 +46,11 @@ fn main() {
             .status()
             .unwrap_or_else(|| panic!("{name} baseline failed: {:?}", out.exit));
         let base_cycles = out.stats.cycles as f64;
-        sink.count("fig4.benchmarks", 1);
-        sink.gauge_labeled("fig4.base_cycles", &[("benchmark", name)], base_cycles);
+        tel.add("fig4.benchmarks", 1);
+        tel.set_gauge(
+            &labeled("fig4.base_cycles", &[("benchmark", name)]),
+            base_cycles,
+        );
 
         let mut cells = vec![name.to_string(), format!("{:.1}", base_cycles / 1e6)];
         let mut csv_row = vec![name.to_string(), format!("{base_cycles}")];
@@ -64,12 +68,14 @@ fn main() {
             let mut total = 0f64;
             for seed in 0..seeds as usize {
                 total += cycles[ci * seeds as usize + seed] as f64;
-                sink.count("fig4.runs", 1);
+                tel.add("fig4.runs", 1);
             }
             let overhead = (total / seeds as f64 / base_cycles - 1.0) * 100.0;
-            sink.gauge_labeled(
-                "fig4.overhead_pct",
-                &[("benchmark", name), ("config", label)],
+            tel.set_gauge(
+                &labeled(
+                    "fig4.overhead_pct",
+                    &[("benchmark", name), ("config", label)],
+                ),
                 overhead,
             );
             per_config[ci].push(overhead);
@@ -84,7 +90,7 @@ fn main() {
     let mut csv_row = vec!["geomean".to_string(), String::new()];
     for (values, (label, _)) in per_config.iter().zip(configs.iter()) {
         let g = geomean_pct(values);
-        sink.gauge_labeled("fig4.geomean_pct", &[("config", label)], g);
+        tel.set_gauge(&labeled("fig4.geomean_pct", &[("config", label)]), g);
         cells.push(format!("{g:.2}%"));
         csv_row.push(format!("{g:.4}"));
     }
@@ -94,7 +100,7 @@ fn main() {
     let mut header_csv = vec!["benchmark".to_string(), "base_cycles".to_string()];
     header_csv.extend(configs.iter().map(|(l, _)| l.replace(',', ";")));
     let path = write_csv("fig4_overhead.csv", &header_csv.join(","), &csv);
-    sink.finish();
+    write_metrics("fig4_overhead", &tel);
     t.done();
     println!("\npaper shape checks:");
     println!("  • profile-guided ranges sit well below their uniform upper bounds");

@@ -5,14 +5,15 @@
 //! the log heuristic (403.gcc has the smallest maximum, 456.hmmer the
 //! largest, and 473.astar's median sits far below its maximum).
 
-use pgsd_bench::{prepare, row, selected_suite, write_csv, MetricsSink, ProgressTimer};
+use pgsd_bench::{prepare, row, selected_suite, write_csv, write_metrics, ProgressTimer};
 use pgsd_core::driver::DEFAULT_GAS;
 use pgsd_core::{Curve, Session, Strategy};
+use pgsd_telemetry::{labeled, Telemetry};
 
 fn main() {
     let threads = pgsd_bench::threads();
     let t = ProgressTimer::start(format!("profiling all benchmarks ({threads} threads)"));
-    let sink = MetricsSink::new("stats_profiles");
+    let tel = Telemetry::enabled();
     let lin = Strategy::with_curve(0.10, 0.50, Curve::Linear);
     let log = Strategy::range(0.10, 0.50);
 
@@ -57,14 +58,19 @@ fn main() {
         let name = w.name;
         let p_lin = lin.probability(median, x_max) * 100.0;
         let p_log = log.probability(median, x_max) * 100.0;
-        sink.count("stats.benchmarks", 1);
-        sink.observe("stats.x_max", x_max);
-        sink.gauge_labeled("stats.x_max", &[("benchmark", name)], x_max as f64);
-        sink.gauge_labeled("stats.median", &[("benchmark", name)], median as f64);
-        sink.gauge_labeled("stats.p_log_pct", &[("benchmark", name)], p_log);
-        sink.gauge_labeled(
-            "stats.train_ref_similarity",
-            &[("benchmark", name)],
+        tel.add("stats.benchmarks", 1);
+        tel.observe("stats.x_max", x_max);
+        tel.set_gauge(
+            &labeled("stats.x_max", &[("benchmark", name)]),
+            x_max as f64,
+        );
+        tel.set_gauge(
+            &labeled("stats.median", &[("benchmark", name)]),
+            median as f64,
+        );
+        tel.set_gauge(&labeled("stats.p_log_pct", &[("benchmark", name)]), p_log);
+        tel.set_gauge(
+            &labeled("stats.train_ref_similarity", &[("benchmark", name)]),
             fidelity,
         );
         println!(
@@ -91,7 +97,7 @@ fn main() {
         "benchmark,x_max,median,p_linear_pct,p_log_pct,train_ref_similarity",
         &csv,
     );
-    sink.finish();
+    write_metrics("stats_profiles", &tel);
     t.done();
 
     maxes.sort_by_key(|&(_, x)| x);

@@ -17,9 +17,10 @@
 //! Benchmarks print sorted by baseline gadget count, as in the paper.
 
 use pgsd_analysis::{classify_offsets, recover};
-use pgsd_bench::{prepare, row, selected_suite, versions, write_csv, MetricsSink, ProgressTimer};
+use pgsd_bench::{prepare, row, selected_suite, versions, write_csv, write_metrics, ProgressTimer};
 use pgsd_core::Strategy;
 use pgsd_gadget::{find_gadgets, survivor, ScanConfig};
+use pgsd_telemetry::{labeled, Telemetry};
 use pgsd_x86::nop::NopTable;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
     ));
     let cfg = ScanConfig::default();
     let table = NopTable::new();
-    let sink = MetricsSink::new("table2_survivors");
+    let tel = Telemetry::enabled();
 
     struct Row {
         name: &'static str,
@@ -46,8 +47,8 @@ fn main() {
         let name = w.name;
         let p = prepare(w);
         let baseline = find_gadgets(&p.baseline.text, &cfg).len();
-        sink.count("table2.benchmarks", 1);
-        sink.count_labeled(
+        tel.add("table2.benchmarks", 1);
+        tel.add_labeled(
             "table2.baseline_gadgets",
             &[("benchmark", name)],
             baseline as u64,
@@ -71,14 +72,18 @@ fn main() {
             let reach: usize = slice.iter().map(|(_, r)| r).sum();
             let mean = total as f64 / n_versions as f64;
             let mean_reach = reach as f64 / n_versions as f64;
-            sink.gauge_labeled(
-                "table2.avg_survivors",
-                &[("benchmark", name), ("config", label)],
+            tel.set_gauge(
+                &labeled(
+                    "table2.avg_survivors",
+                    &[("benchmark", name), ("config", label)],
+                ),
                 mean,
             );
-            sink.gauge_labeled(
-                "table2.avg_survivors_reach",
-                &[("benchmark", name), ("config", label)],
+            tel.set_gauge(
+                &labeled(
+                    "table2.avg_survivors_reach",
+                    &[("benchmark", name), ("config", label)],
+                ),
                 mean_reach,
             );
             avg.push(mean);
@@ -123,11 +128,16 @@ fn main() {
         } else {
             0.0
         };
-        sink.gauge_labeled("table2.extra_pct", &[("benchmark", r.name)], extra);
-        sink.gauge_labeled("table2.surviving_pct", &[("benchmark", r.name)], surviving);
-        sink.gauge_labeled(
-            "table2.surviving_reach_pct",
-            &[("benchmark", r.name)],
+        tel.set_gauge(
+            &labeled("table2.extra_pct", &[("benchmark", r.name)]),
+            extra,
+        );
+        tel.set_gauge(
+            &labeled("table2.surviving_pct", &[("benchmark", r.name)]),
+            surviving,
+        );
+        tel.set_gauge(
+            &labeled("table2.surviving_reach_pct", &[("benchmark", r.name)]),
             surviving_reach,
         );
         let mut cells = vec![r.name.to_string(), r.baseline.to_string()];
@@ -159,7 +169,7 @@ fn main() {
          p30,p30_reach,p0_30,p0_30_reach,extra_pct,surviving_pct,surviving_reach_pct",
         &csv,
     );
-    sink.finish();
+    write_metrics("table2_survivors", &tel);
     t.done();
     println!("\npaper shape checks:");
     println!("  • absolute survivors stay near the undiversified-runtime tail for every strategy");

@@ -20,17 +20,18 @@
 use std::fs;
 
 use pgsd_bench::fleet::{fleet_versions, run_campaign};
-use pgsd_bench::{results_dir, row, threads, write_csv, MetricsSink, ProgressTimer};
+use pgsd_bench::{results_dir, row, threads, write_csv, write_metrics, ProgressTimer};
+use pgsd_telemetry::Telemetry;
 
 fn main() {
     let versions = fleet_versions();
     let threads = threads();
-    let sink = MetricsSink::new("table_fleet");
+    let tel = Telemetry::enabled();
 
     let timer = ProgressTimer::start(format!(
         "fleet campaign: 4 configs x {versions} variants on {threads} thread(s)"
     ));
-    let campaign = run_campaign(versions, threads, sink.telemetry());
+    let campaign = run_campaign(versions, threads, &tel);
     timer.done();
 
     let widths = [8, 28, 10, 10, 10, 10, 8];
@@ -98,18 +99,18 @@ fn main() {
     fs::write(&report_path, campaign.report_json()).expect("can write fleet report");
 
     if campaign.ledger_secs > 0.0 {
-        sink.gauge(
+        tel.set_gauge(
             "bench.ledger_variants_per_sec",
             campaign.variants() as f64 / campaign.ledger_secs,
         );
     }
     if campaign.symbolicate_secs > 0.0 {
-        sink.gauge(
+        tel.set_gauge(
             "bench.symbolicate_per_sec",
             campaign.symbolicate_calls as f64 / campaign.symbolicate_secs,
         );
     }
-    let metrics = sink.finish();
+    let metrics = write_metrics("table_fleet", &tel);
     eprintln!(
         "[pgsd-bench] wrote {}, {} and {}",
         csv.display(),

@@ -24,10 +24,14 @@
 //! parallelism). Every harness fans its per-config/per-seed jobs out
 //! through `pgsd_exec` and collects results in job-index order, so CSV
 //! and metrics outputs are byte-identical at any thread count.
+//!
+//! Each binary writes its table with [`write_csv`] and its headline
+//! numbers, recorded into one enabled [`Telemetry`] handle, with
+//! [`write_metrics`]: both land under `results/`.
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -258,71 +262,16 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// A shared metrics sink for the experiment binaries: every harness
-/// records its headline numbers through one armed [`Telemetry`] handle and
-/// [`MetricsSink::finish`] writes them as `results/<name>.metrics.json` —
-/// the same schema the CLI's `--metrics` flag and `pgsd report` use, so
-/// experiment outputs are machine-readable next to their CSVs.
-pub struct MetricsSink {
-    tel: Telemetry,
-    name: String,
-}
-
-impl MetricsSink {
-    /// Creates a sink for the experiment `name` (the output file stem).
-    pub fn new(name: &str) -> MetricsSink {
-        MetricsSink {
-            tel: Telemetry::enabled(),
-            name: name.to_owned(),
-        }
-    }
-
-    /// The underlying handle, for threading into `BuildConfig` or the
-    /// `*_with` drivers.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// Adds `delta` to counter `key`.
-    pub fn count(&self, key: &str, delta: u64) {
-        self.tel.add(key, delta);
-    }
-
-    /// Adds `delta` to a labeled counter.
-    pub fn count_labeled(&self, key: &str, labels: &[(&str, &str)], delta: u64) {
-        self.tel.add_labeled(key, labels, delta);
-    }
-
-    /// Sets gauge `key` (last write wins).
-    pub fn gauge(&self, key: &str, value: f64) {
-        self.tel.set_gauge(key, value);
-    }
-
-    /// Sets a labeled gauge, e.g. `fig4.overhead_pct{benchmark=470.lbm}`.
-    pub fn gauge_labeled(&self, key: &str, labels: &[(&str, &str)], value: f64) {
-        self.tel
-            .set_gauge(&pgsd_telemetry::labeled(key, labels), value);
-    }
-
-    /// Records one histogram observation.
-    pub fn observe(&self, key: &str, value: u64) {
-        self.tel.observe(key, value);
-    }
-
-    /// Writes `results/<name>.metrics.json` and returns its path.
-    pub fn finish(self) -> PathBuf {
-        let path = results_dir().join(format!("{}.metrics.json", self.name));
-        self.finish_to(&path)
-    }
-
-    /// Writes the collected metrics (same schema-versioned document as
-    /// [`MetricsSink::finish`]) to an explicit path — `pgsd bench` uses
-    /// this for the repo-root `BENCH_pgsd.json`.
-    pub fn finish_to(self, path: &Path) -> PathBuf {
-        fs::write(path, self.tel.metrics_json()).expect("can write metrics json");
-        eprintln!("[pgsd-bench] metrics → {}", path.display());
-        path.to_path_buf()
-    }
+/// Writes `tel`'s metrics as `results/<name>.metrics.json` and returns
+/// the path. Every harness records its headline numbers into one enabled
+/// [`Telemetry`] handle; the file has the schema the CLI's `--metrics`
+/// flag and `pgsd report` use, so experiment outputs are
+/// machine-readable next to their CSVs.
+pub fn write_metrics(name: &str, tel: &Telemetry) -> PathBuf {
+    let path = results_dir().join(format!("{name}.metrics.json"));
+    fs::write(&path, tel.metrics_json()).expect("can write metrics json");
+    eprintln!("[pgsd-bench] metrics → {}", path.display());
+    path
 }
 
 /// A coarse progress reporter for long experiments.
@@ -387,16 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_writes_schema_v1_json() {
+    fn write_metrics_writes_schema_v1_json() {
         let dir = std::env::temp_dir().join("pgsd-bench-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let old = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();
-        let sink = MetricsSink::new("sink_test");
-        sink.count("bench.runs", 3);
-        sink.gauge("bench.overhead_pct", 1.25);
-        sink.observe("bench.cycles", 100);
-        let path = sink.finish();
+        let tel = Telemetry::enabled();
+        tel.add("bench.runs", 3);
+        tel.set_gauge("bench.overhead_pct", 1.25);
+        tel.observe("bench.cycles", 100);
+        let path = write_metrics("sink_test", &tel);
         let text = std::fs::read_to_string(&path).unwrap();
         std::env::set_current_dir(old).unwrap();
         let doc = pgsd_telemetry::MetricsDoc::from_json(&text).unwrap();

@@ -134,7 +134,9 @@ enum Slot {
     Lir(Arc<Vec<MFunction>>),
     Image(Arc<Image>),
     Profile(Arc<Profile>),
-    Verdict(bool),
+    /// A passed validation: only passes are stored, so presence is the
+    /// verdict.
+    Verdict,
 }
 
 /// Approximate retained size, for the memory cap. Estimates only —
@@ -175,7 +177,7 @@ fn slot_bytes(slot: &Slot) -> u64 {
             }
             n
         }
-        Slot::Verdict(_) => 16,
+        Slot::Verdict => 16,
     }
 }
 
@@ -392,7 +394,7 @@ impl Cache {
     }
 
     /// A memory-only cache with an explicit byte cap (FIFO eviction).
-    pub fn in_memory_capped(max_bytes: u64) -> Cache {
+    fn in_memory_capped(max_bytes: u64) -> Cache {
         Cache {
             inner: Some(Arc::new(Inner {
                 mem: Mutex::new(MemStore::new(max_bytes)),
@@ -527,17 +529,14 @@ impl Cache {
         self.put_slot(Kind::Profile, key, Slot::Profile(profile), tel);
     }
 
-    /// Looks up a validation verdict.
-    pub fn get_verdict(&self, key: Key, tel: &Telemetry) -> Option<bool> {
-        match self.get_slot(Kind::Verdict, key, tel)? {
-            Slot::Verdict(v) => Some(v),
-            _ => None,
-        }
+    /// Whether the image under `key` has passed validation.
+    pub fn has_verdict(&self, key: Key, tel: &Telemetry) -> bool {
+        self.get_slot(Kind::Verdict, key, tel).is_some()
     }
 
-    /// Stores a validation verdict.
-    pub fn put_verdict(&self, key: Key, ok: bool, tel: &Telemetry) {
-        self.put_slot(Kind::Verdict, key, Slot::Verdict(ok), tel);
+    /// Records that the image under `key` passed validation.
+    pub fn put_verdict(&self, key: Key, tel: &Telemetry) {
+        self.put_slot(Kind::Verdict, key, Slot::Verdict, tel);
     }
 
     /// Records one variant in the provenance ledger. First insertion of
@@ -705,9 +704,9 @@ mod tests {
     fn verdicts_round_trip() {
         let tel = Telemetry::disabled();
         let c = Cache::in_memory();
-        c.put_verdict(Key(3), true, &tel);
-        assert_eq!(c.get_verdict(Key(3), &tel), Some(true));
-        assert_eq!(c.get_verdict(Key(4), &tel), None);
+        c.put_verdict(Key(3), &tel);
+        assert!(c.has_verdict(Key(3), &tel));
+        assert!(!c.has_verdict(Key(4), &tel));
     }
 
     #[test]
@@ -1060,7 +1059,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let a = Cache::in_memory();
         let b = a.clone();
-        a.put_verdict(Key(1), true, &tel);
-        assert_eq!(b.get_verdict(Key(1), &tel), Some(true));
+        a.put_verdict(Key(1), &tel);
+        assert!(b.has_verdict(Key(1), &tel));
     }
 }

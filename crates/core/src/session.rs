@@ -66,6 +66,7 @@ use pgsd_cc::lir::MFunction;
 use pgsd_emu::{Exit, RunStats};
 use pgsd_gadget::{find_gadgets, survivor, ScanConfig};
 use pgsd_profile::{instrument, reconstruct, Profile};
+use pgsd_telemetry::json::quote;
 use pgsd_telemetry::Telemetry;
 use pgsd_x86::nop::NopTable;
 
@@ -93,15 +94,6 @@ fn module_key_from_source(name: &str, source: &str) -> Key {
     let mut h = keyer("module/source");
     h.write_str(name);
     h.write_str(source);
-    h.key()
-}
-
-/// Key of a module handed to us directly: the deterministic `Debug`
-/// rendering is the content (the IR has no hash-ordered collections).
-fn module_key_of(module: &Module) -> Key {
-    use std::fmt::Write as _;
-    let mut h = keyer("module/ir");
-    write!(h, "{module:?}").expect("infallible");
     h.key()
 }
 
@@ -241,19 +233,19 @@ impl RunOutcome {
 
 type ModuleSlot = OnceLock<std::result::Result<(Arc<Module>, Key), CompileError>>;
 
-/// A diversification session: one module (given directly or compiled
-/// lazily from source), its active profile, a build configuration, a
-/// worker count, and a [`Cache`].
+/// A diversification session: one module (compiled lazily from
+/// source), its active profile, a build configuration, a worker count,
+/// and a [`Cache`].
 ///
-/// Construct with [`Session::new`] or [`Session::from_source`],
-/// configure with the chainable builder methods, then call the work
-/// methods ([`build`](Session::build), [`train`](Session::train),
+/// Construct with [`Session::from_source`], configure with the
+/// chainable builder methods, then call the work methods
+/// ([`build`](Session::build), [`train`](Session::train),
 /// [`run`](Session::run), [`population`](Session::population)). Work
 /// methods take `&self`: a configured session can be shared across
 /// threads.
 pub struct Session {
     name: String,
-    source: Option<String>,
+    source: String,
     module: ModuleSlot,
     profile: Mutex<Option<Guide>>,
     config: BuildConfig,
@@ -273,30 +265,12 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// A session over an already-compiled module.
-    pub fn new(module: Module) -> Session {
-        let key = module_key_of(&module);
-        let name = module.name.clone();
-        let slot = ModuleSlot::new();
-        slot.set(Ok((Arc::new(module), key))).expect("fresh slot");
-        Session {
-            name,
-            source: None,
-            module: slot,
-            profile: Mutex::new(None),
-            config: BuildConfig::baseline(),
-            threads: pgsd_exec::default_threads(),
-            cache: Cache::in_memory(),
-            ledger: false,
-        }
-    }
-
     /// A session that compiles `source` on first use (under this
     /// session's telemetry, consulting the cache).
     pub fn from_source(name: &str, source: &str) -> Session {
         Session {
             name: name.to_owned(),
-            source: Some(source.to_owned()),
+            source: source.to_owned(),
             module: ModuleSlot::new(),
             profile: Mutex::new(None),
             config: BuildConfig::baseline(),
@@ -379,18 +353,23 @@ impl Session {
         self.guide().map(|g| g.profile)
     }
 
+    /// The configuration of population member `i`: seed `config.seed +
+    /// i`, recording into the job's child handle.
+    fn seeded_config(&self, i: usize, child: &Telemetry) -> BuildConfig {
+        let mut config = self.config.clone();
+        config.seed += i as u64;
+        config.telemetry = child.clone();
+        config
+    }
+
     fn resolve(&self) -> Result<(&Arc<Module>, Key)> {
         let slot = self.module.get_or_init(|| {
-            let source = self
-                .source
-                .as_deref()
-                .expect("unresolved session has source");
             let tel = &self.config.telemetry;
-            let key = module_key_from_source(&self.name, source);
+            let key = module_key_from_source(&self.name, &self.source);
             if let Some(module) = self.cache.get_module(key, tel) {
                 return Ok((module, key));
             }
-            let module = Arc::new(frontend_with(&self.name, source, tel)?);
+            let module = Arc::new(frontend_with(&self.name, &self.source, tel)?);
             self.cache.put_module(key, Arc::clone(&module), tel);
             Ok((module, key))
         });
@@ -400,8 +379,7 @@ impl Session {
         }
     }
 
-    /// The session's optimized IR module, compiling it first if the
-    /// session was created from source.
+    /// The session's optimized IR module, compiling it on first use.
     ///
     /// # Errors
     ///
@@ -494,22 +472,6 @@ impl Session {
         Ok(profile)
     }
 
-    /// Builds under the session's configuration and runs the image on
-    /// `input` up to `gas` instructions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a poke names a global the image does not have — a
-    /// workload definition bug.
-    pub fn build_and_run(&self, input: &Input, gas: u64) -> Result<RunOutcome> {
-        let image = self.build()?;
-        Ok(self.run(&image, input, gas, "run"))
-    }
-
     /// Runs an already-built image on `input`, recording an `execute`
     /// span and `emu.*{run=label}` counters into the session telemetry.
     ///
@@ -560,27 +522,17 @@ impl Session {
             // otherwise have built it first.
             baseline_cached(module, mkey, &self.cache, tel)?;
         }
-        let seed_base = self.config.seed;
-        let jobs = pgsd_exec::run_jobs(self.threads, n, |i| {
-            let child = tel.child();
-            let mut config = self.config.clone();
-            config.seed = seed_base + i as u64;
-            config.telemetry = child.clone();
-            let result = build_cached(
+        let images = traced_jobs(tel, self.threads, n, |i, child| {
+            let config = self.seeded_config(i, child);
+            build_cached(
                 module,
                 mkey,
                 profile.as_ref(),
                 &config,
                 &self.cache,
                 self.ledger,
-            );
-            (result, child)
-        });
-        let mut images = Vec::with_capacity(n);
-        for (result, child) in jobs {
-            tel.merge_from(&child);
-            images.push(result?);
-        }
+            )
+        })?;
         if self.ledger && diversifying {
             self.cache.flush_ledger(tel);
         }
@@ -677,50 +629,39 @@ impl Session {
         if !self.config.reg_randomize {
             lowered_cached(module, mkey, None, &self.cache, tel)?;
         }
-        let seed_base = self.config.seed;
-        let jobs = pgsd_exec::run_jobs(self.threads, n, |i| {
-            let child = tel.child();
-            let mut config = self.config.clone();
-            config.seed = seed_base + i as u64;
-            config.telemetry = child.clone();
-            let result = build_cached(module, mkey, profile.as_ref(), &config, &self.cache, false)
-                .map(|image| {
-                    let rep = survivor(&baseline.text, &image.text, &table, &scan);
-                    let audit = audit_image(&image, &rep.survivors);
-                    child.add("audit.variants", 1);
-                    child.add(
-                        "audit.survivors.reachable",
-                        audit.survivors.reachable as u64,
-                    );
-                    child.add(
-                        "audit.survivors.unintended",
-                        audit.survivors.unintended as u64,
-                    );
-                    child.add("audit.survivors.dead", audit.survivors.dead as u64);
-                    child.add("audit.findings", audit.findings.len() as u64);
-                    child.add("audit.wx_violations", audit.wx_violations as u64);
-                    child.add(
-                        "audit.unresolved_indirects",
-                        audit.unresolved_indirects as u64,
-                    );
-                    audit
-                });
-            (result, child)
-        });
-        let mut audits = Vec::with_capacity(n);
+        let audits = traced_jobs(tel, self.threads, n, |i, child| {
+            let config = self.seeded_config(i, child);
+            let image = build_cached(module, mkey, profile.as_ref(), &config, &self.cache, false)?;
+            let rep = survivor(&baseline.text, &image.text, &table, &scan);
+            let audit = audit_image(&image, &rep.survivors);
+            child.add("audit.variants", 1);
+            child.add(
+                "audit.survivors.reachable",
+                audit.survivors.reachable as u64,
+            );
+            child.add(
+                "audit.survivors.unintended",
+                audit.survivors.unintended as u64,
+            );
+            child.add("audit.survivors.dead", audit.survivors.dead as u64);
+            child.add("audit.findings", audit.findings.len() as u64);
+            child.add("audit.wx_violations", audit.wx_violations as u64);
+            child.add(
+                "audit.unresolved_indirects",
+                audit.unresolved_indirects as u64,
+            );
+            Ok(audit)
+        })?;
         let mut survivors = SurvivorAuditReport {
             baseline_gadgets,
             ..SurvivorAuditReport::default()
         };
-        for (result, child) in jobs {
-            tel.merge_from(&child);
-            let audit = result?;
+        for audit in &audits {
             survivors.add_variant(&audit.survivors);
-            audits.push(audit);
         }
         Ok(AuditOutcome {
             name: self.name.clone(),
-            seed_base,
+            seed_base: self.config.seed,
             baseline_gadgets,
             audits,
             survivors,
@@ -766,12 +707,12 @@ impl AuditOutcome {
         use std::fmt::Write as _;
         let c = &self.survivors.counts;
         let mut out = format!(
-            "{{\"schema_version\":{},\"tool\":\"pgsd-audit\",\"target\":\"{}\",\
+            "{{\"schema_version\":{},\"tool\":\"pgsd-audit\",\"target\":{},\
              \"seed_base\":{},\"variants\":{},\"baseline_gadgets\":{},\
              \"survivors\":{{\"total\":{},\"reachable\":{},\"unintended_boundary\":{},\
              \"dead_bytes\":{}}},\"error_findings\":{},\"images\":[",
             pgsd_analysis::DIAG_SCHEMA_VERSION,
-            pgsd_analysis::diag::json_escape(&self.name),
+            quote(&self.name),
             self.seed_base,
             self.audits.len(),
             self.baseline_gadgets,
@@ -825,17 +766,17 @@ impl Symbolicated {
             None => "null".to_string(),
         };
         format!(
-            "{{\"variant_id\":\"{}\",\"variant_addr\":\"{:#010x}\",\
-             \"baseline_addr\":\"{:#010x}\",\"function\":\"{}\",\"line\":{},\
-             \"inst\":\"{}\",\"seed\":{},\"transforms\":\"{}\"}}",
-            pgsd_analysis::diag::json_escape(&self.variant_id),
+            "{{\"variant_id\":{},\"variant_addr\":\"{:#010x}\",\
+             \"baseline_addr\":\"{:#010x}\",\"function\":{},\"line\":{},\
+             \"inst\":{},\"seed\":{},\"transforms\":{}}}",
+            quote(&self.variant_id),
             self.variant_addr,
             self.baseline_addr,
-            pgsd_analysis::diag::json_escape(&self.function),
+            quote(&self.function),
             line,
-            pgsd_analysis::diag::json_escape(&self.inst),
+            quote(&self.inst),
             self.seed,
-            pgsd_analysis::diag::json_escape(&self.transforms),
+            quote(&self.transforms),
         )
     }
 }
@@ -966,7 +907,7 @@ fn prove(
 ) -> Result<()> {
     let tel = &config.telemetry;
     let vkey = verdict_key(ikey);
-    let need_verdict = config.validate && cache.get_verdict(vkey, tel) != Some(true);
+    let need_verdict = config.validate && !cache.has_verdict(vkey, tel);
     let record_id = ledger
         .then(|| variant_id(image))
         .filter(|id| cache.ledger_get(id).is_none());
@@ -984,7 +925,7 @@ fn prove(
             ))
         })?;
         if need_verdict {
-            cache.put_verdict(vkey, true, tel);
+            cache.put_verdict(vkey, tel);
         }
         if let Some(variant_id) = record_id {
             let mut ckey = keyer("config");
@@ -1007,6 +948,30 @@ fn prove(
         tel.add("validate.passed", 1);
     }
     Ok(())
+}
+
+/// The one traced fan-out: runs `job(0) .. job(n - 1)` on `threads`
+/// workers, each recording into its own child of `tel`, and merges the
+/// children into `tel` in job order. On failure the children up to and
+/// including the lowest-index failing job are merged and that job's
+/// error is returned, exactly as the serial loop would leave things —
+/// so results, errors and metrics are the same at any thread count.
+fn traced_jobs<R: Send>(
+    tel: &Telemetry,
+    threads: usize,
+    n: usize,
+    job: impl Fn(usize, &Telemetry) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let jobs = pgsd_exec::run_jobs(threads, n, |i| {
+        let child = tel.child();
+        (job(i, &child), child)
+    });
+    let mut results = Vec::with_capacity(n);
+    for (result, child) in jobs {
+        tel.merge_from(&child);
+        results.push(result?);
+    }
+    Ok(results)
 }
 
 /// Cold training: instrumented build (LIR memoized — instrumentation is
@@ -1035,39 +1000,31 @@ fn train_cold(
 
     tel.add("train.inputs", train_inputs.len() as u64);
     tel.add("train.counters", u64::from(plan.num_counters));
-    let runs = pgsd_exec::map_indexed(
-        threads,
-        train_inputs,
-        |_, input| -> Result<(Vec<u64>, Telemetry)> {
-            let child = tel.child();
-            let _run_span = child.span("train_run");
-            let mut emu = load(&image);
-            apply_pokes(&image, &mut emu, input);
-            emu.call_entry(image.main_addr, image.exit_addr, &input.args);
-            let exit = emu.run(gas);
-            if exit.status().is_none() {
-                return Err(CompileError::new(format!(
-                    "training run with args {:?} did not exit cleanly: {exit:?}",
-                    input.args
-                )));
-            }
-            let mut run_counters = vec![0u64; plan.num_counters as usize];
-            for (i, c) in run_counters.iter_mut().enumerate() {
-                let word = emu
-                    .mem
-                    .read_u32(image.counter_addr(i as u32))
-                    .map_err(|f| CompileError::new(format!("counter readback failed: {f}")))?;
-                *c = u64::from(word);
-            }
-            drop(_run_span);
-            Ok((run_counters, child))
-        },
-    );
+    let runs = traced_jobs(tel, threads, train_inputs.len(), |i, child| {
+        let input = &train_inputs[i];
+        let _run_span = child.span("train_run");
+        let mut emu = load(&image);
+        apply_pokes(&image, &mut emu, input);
+        emu.call_entry(image.main_addr, image.exit_addr, &input.args);
+        let exit = emu.run(gas);
+        if exit.status().is_none() {
+            return Err(CompileError::new(format!(
+                "training run with args {:?} did not exit cleanly: {exit:?}",
+                input.args
+            )));
+        }
+        (0..plan.num_counters)
+            .map(|c| {
+                emu.mem
+                    .read_u32(image.counter_addr(c))
+                    .map(u64::from)
+                    .map_err(|f| CompileError::new(format!("counter readback failed: {f}")))
+            })
+            .collect::<Result<Vec<u64>>>()
+    })?;
     let mut counters = vec![0u64; plan.num_counters as usize];
-    for run in runs {
-        let (run_counters, child) = run?;
-        tel.merge_from(&child);
-        for (c, r) in counters.iter_mut().zip(&run_counters) {
+    for run_counters in &runs {
+        for (c, r) in counters.iter_mut().zip(run_counters) {
             *c += r;
         }
     }
@@ -1082,7 +1039,6 @@ mod tests {
     use super::*;
     use crate::curve::Strategy;
     use crate::driver::{run, DEFAULT_GAS};
-    use pgsd_cc::driver::frontend;
 
     const SRC: &str = "int main(int n) {
         int s = 0;
@@ -1092,8 +1048,8 @@ mod tests {
 
     /// A build that memoizes nothing: the reference the cached path
     /// must reproduce byte for byte.
-    fn cold_build(module: &Module, config: &BuildConfig) -> Image {
-        Session::new(module.clone())
+    fn cold_build(config: &BuildConfig) -> Image {
+        Session::from_source("t", SRC)
             .cache(Cache::disabled())
             .build_with(config)
             .unwrap()
@@ -1101,11 +1057,10 @@ mod tests {
 
     #[test]
     fn session_build_matches_uncached_build() {
-        let module = frontend("t", SRC).unwrap();
         for seed in 0..4 {
             let config = BuildConfig::diversified(Strategy::uniform(0.5), seed);
-            let cold = cold_build(&module, &config);
-            let session = Session::new(module.clone()).config(config.clone());
+            let cold = cold_build(&config);
+            let session = Session::from_source("t", SRC).config(config.clone());
             let a = session.build().unwrap();
             let b = session.build().unwrap(); // cache hit
             assert_eq!(a, cold, "seed {seed}");
@@ -1116,9 +1071,8 @@ mod tests {
     #[test]
     fn from_source_compiles_lazily_and_runs() {
         let session = Session::from_source("t", SRC);
-        let outcome = session
-            .build_and_run(&Input::args(&[10]), 1_000_000)
-            .unwrap();
+        let image = session.build().unwrap();
+        let outcome = session.run(&image, &Input::args(&[10]), 1_000_000, "run");
         assert_eq!(outcome.exit, Exit::Exited(55));
         assert_eq!(outcome.crash, None);
     }
@@ -1144,6 +1098,29 @@ mod tests {
         // Different inputs are a different profile.
         let p3 = session.train(&[Input::args(&[5])], DEFAULT_GAS).unwrap();
         assert!(!Arc::ptr_eq(&p1, &p3));
+    }
+
+    #[test]
+    fn train_reports_the_earliest_failing_input_at_any_thread_count() {
+        // A gas budget only the smallest argument fits: the last two
+        // inputs both run out, and the earlier of them must be named.
+        // Telemetry merges up to and including that input's run.
+        let inputs = [Input::args(&[3]), Input::args(&[500]), Input::args(&[900])];
+        let train = |threads| {
+            let tel = Telemetry::enabled();
+            let session = Session::from_source("t", SRC)
+                .telemetry(tel.clone())
+                .threads(threads);
+            let err = session.train(&inputs, 2_000).unwrap_err();
+            let runs = tel.spans().iter().filter(|s| s.name == "train_run").count();
+            (err.message, runs, tel.snapshot().counters)
+        };
+        let (serial, serial_runs, serial_counters) = train(1);
+        let (parallel, parallel_runs, parallel_counters) = train(4);
+        assert!(serial.contains("args [500]"), "{serial}");
+        assert_eq!(serial_runs, 2, "the passing run and the first failure");
+        assert_eq!((serial, serial_runs), (parallel, parallel_runs));
+        assert_eq!(serial_counters, parallel_counters);
     }
 
     #[test]
@@ -1184,13 +1161,12 @@ mod tests {
 
     #[test]
     fn population_matches_per_seed_builds() {
-        let module = frontend("t", SRC).unwrap();
-        let session = Session::new(module.clone())
+        let session = Session::from_source("t", SRC)
             .config(BuildConfig::diversified(Strategy::uniform(0.5), 100));
         let images = session.population(5).unwrap();
         for (i, img) in images.iter().enumerate() {
             let config = BuildConfig::diversified(Strategy::uniform(0.5), 100 + i as u64);
-            let cold = cold_build(&module, &config);
+            let cold = cold_build(&config);
             assert_eq!(*img, cold, "seed {}", 100 + i);
             let (exit, _) = run(img, &[7], 1_000_000);
             assert_eq!(exit, Exit::Exited(28));
@@ -1199,24 +1175,22 @@ mod tests {
 
     #[test]
     fn population_with_reg_randomize_matches_uncached() {
-        let module = frontend("t", SRC).unwrap();
-        let session = Session::new(module.clone())
+        let session = Session::from_source("t", SRC)
             .config(BuildConfig::full_diversity(Strategy::uniform(0.4), 9));
         let images = session.population(3).unwrap();
         for (i, img) in images.iter().enumerate() {
             let config = BuildConfig::full_diversity(Strategy::uniform(0.4), 9 + i as u64);
-            assert_eq!(*img, cold_build(&module, &config));
+            assert_eq!(*img, cold_build(&config));
         }
     }
 
     #[test]
     fn validated_builds_cache_verdicts() {
         let tel = Telemetry::enabled();
-        let module = frontend("t", SRC).unwrap();
         let config = BuildConfig::diversified(Strategy::uniform(0.5), 3)
             .validated()
             .with_telemetry(tel.clone());
-        let session = Session::new(module).config(config);
+        let session = Session::from_source("t", SRC).config(config);
         let a = session.build().unwrap();
         let b = session.build().unwrap();
         assert_eq!(a, b);
@@ -1257,9 +1231,8 @@ mod tests {
 
     #[test]
     fn audit_is_thread_count_invariant_and_total() {
-        let module = frontend("t", SRC).unwrap();
         let mk = |threads| {
-            Session::new(module.clone())
+            Session::from_source("t", SRC)
                 .config(BuildConfig::diversified(Strategy::uniform(0.3), 42))
                 .threads(threads)
         };
@@ -1420,11 +1393,7 @@ mod tests {
             .config(BuildConfig::diversified(Strategy::uniform(0.5), 1))
             .cache(Cache::disabled());
         let a = session.build().unwrap();
-        let module = frontend("t", SRC).unwrap();
-        let cold = cold_build(
-            &module,
-            &BuildConfig::diversified(Strategy::uniform(0.5), 1),
-        );
+        let cold = cold_build(&BuildConfig::diversified(Strategy::uniform(0.5), 1));
         assert_eq!(a, cold);
     }
 }

@@ -27,7 +27,7 @@ use pgsd_telemetry::json::{parse, Value};
 
 use pgsd_cache::Cache;
 
-use crate::diff::{run_source_case_in, Outcome, TransformSet};
+use crate::diff::{run_case, Outcome, TransformSet};
 
 /// Schema version of reproducer and report files.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -351,7 +351,7 @@ pub fn replay(dir: &Path) -> Result<ReplayReport, String> {
         let source = fs::read_to_string(&src_path)
             .map_err(|e| format!("cannot read {}: {e}", src_path.display()))?;
 
-        let case = match run_source_case_in(&cache, &source, tset, variant_seed, &inputs, None) {
+        let case = match run_case(&cache, &source, tset, variant_seed, &inputs, None) {
             Err(e) => ReplayCase {
                 id,
                 passing: false,

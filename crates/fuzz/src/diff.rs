@@ -26,8 +26,6 @@ use pgsd_emu::{Exit, Fault};
 use pgsd_workloads::gen::Lcg;
 use pgsd_x86::AluOp;
 
-use crate::gen::FuzzProgram;
-
 /// Instruction budget for baseline runs. Generated programs are bounded
 /// by construction (masked loop bounds, DAG call graph), so this is a
 /// generous ceiling, not a semantics knob.
@@ -286,9 +284,18 @@ impl CaseResult {
     }
 }
 
-/// Compiles `program`, builds the `tset`/`variant_seed` variant
+/// Compiles the MiniC `source`, builds the `tset`/`variant_seed` variant
 /// (optionally sabotaged), runs both on `inputs`, and cross-checks the
-/// dynamic comparison against the static validator.
+/// dynamic comparison against the static validator. The fuzz loop passes
+/// a generated program's emitted source; corpus replay passes the stored
+/// reproducer.
+///
+/// Pipeline artifacts are memoized in `cache`: the fuzz loop gives each
+/// iteration one cache, so a program's frontend, baseline build, and
+/// lowering are paid once across its (transform-set, seed) cases.
+/// Sabotaged variants reuse the memoized lowering but are never
+/// themselves cached — a deliberately broken image must not leak into a
+/// store a healthy build could hit.
 ///
 /// # Errors
 ///
@@ -296,66 +303,6 @@ impl CaseResult {
 /// produce compilable programs, so an error here is itself a toolchain
 /// bug worth surfacing.
 pub fn run_case(
-    program: &FuzzProgram,
-    tset: TransformSet,
-    variant_seed: u64,
-    inputs: &[Vec<i32>],
-    sabotage: Option<Sabotage>,
-) -> Result<CaseResult> {
-    run_source_case(&program.emit(), tset, variant_seed, inputs, sabotage)
-}
-
-/// [`run_case`] memoizing pipeline artifacts in `cache` — the fuzz loop
-/// gives each iteration one cache, so a program's frontend, baseline
-/// build, and lowering are paid once across its (transform-set, seed)
-/// cases rather than once per case.
-///
-/// # Errors
-///
-/// Propagates frontend and build errors.
-pub fn run_case_in(
-    cache: &Cache,
-    program: &FuzzProgram,
-    tset: TransformSet,
-    variant_seed: u64,
-    inputs: &[Vec<i32>],
-    sabotage: Option<Sabotage>,
-) -> Result<CaseResult> {
-    run_source_case_in(cache, &program.emit(), tset, variant_seed, inputs, sabotage)
-}
-
-/// [`run_case`] on already-emitted MiniC source — the form corpus replay
-/// uses, since reproducers are stored as source text.
-///
-/// # Errors
-///
-/// Propagates frontend and build errors.
-pub fn run_source_case(
-    source: &str,
-    tset: TransformSet,
-    variant_seed: u64,
-    inputs: &[Vec<i32>],
-    sabotage: Option<Sabotage>,
-) -> Result<CaseResult> {
-    run_source_case_in(
-        &Cache::in_memory(),
-        source,
-        tset,
-        variant_seed,
-        inputs,
-        sabotage,
-    )
-}
-
-/// [`run_source_case`] with an explicit artifact cache (see
-/// [`run_case_in`]). Sabotaged variants reuse the memoized lowering but
-/// are never themselves cached — a deliberately broken image must not
-/// leak into a store a healthy build could hit.
-///
-/// # Errors
-///
-/// Propagates frontend and build errors.
-pub fn run_source_case_in(
     cache: &Cache,
     source: &str,
     tset: TransformSet,
@@ -435,8 +382,15 @@ mod tests {
             let program = generate(program_seed, &GenOptions::default());
             let inputs = inputs_for(program_seed);
             for tset in TransformSet::ALL {
-                let res = run_case(&program, tset, program_seed + 11, &inputs, None)
-                    .unwrap_or_else(|e| panic!("seed {program_seed} {tset:?}: {e}"));
+                let res = run_case(
+                    &Cache::in_memory(),
+                    &program.emit(),
+                    tset,
+                    program_seed + 11,
+                    &inputs,
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("seed {program_seed} {tset:?}: {e}"));
                 assert!(
                     !res.is_failure(),
                     "seed {program_seed} {tset:?}: {res:#?}\n{}",
@@ -457,7 +411,8 @@ mod tests {
             let program = generate(program_seed, &GenOptions::default());
             let inputs = inputs_for(program_seed);
             let res = run_case(
-                &program,
+                &Cache::in_memory(),
+                &program.emit(),
                 TransformSet::Subst,
                 program_seed,
                 &inputs,

@@ -48,7 +48,7 @@ use pgsd_cache::Cache;
 use pgsd_telemetry::Telemetry;
 
 use crate::corpus::{finding_id, Finding, FuzzReport};
-use crate::diff::{inputs_for, run_case_in, CaseResult, Sabotage, TransformSet};
+use crate::diff::{inputs_for, run_case, CaseResult, Sabotage, TransformSet};
 use crate::gen::{generate, FuzzProgram, GenOptions};
 use crate::shrink::shrink;
 
@@ -180,6 +180,7 @@ pub fn fuzz(
     let scans = pgsd_exec::run_jobs(config.threads, iters, |i| {
         let program_seed = program_seed_for(config.seed, i as u64);
         let program = generate(program_seed, &config.gen);
+        let source = program.emit();
         let inputs = inputs_for(program_seed);
         let cache = Cache::in_memory();
         let mut scan = IterScan {
@@ -195,9 +196,9 @@ pub fn fuzz(
             for k in 0..config.variants_per_set {
                 let variant_seed = variant_seed_for(program_seed, ti, k);
                 scan.per_tset[ti].cases += 1;
-                let outcome = run_case_in(
+                let outcome = run_case(
                     &cache,
-                    &program,
+                    &source,
                     tset,
                     variant_seed,
                     &scan.inputs,
@@ -337,9 +338,9 @@ fn capture_finding(
     // One cache per shrink job: candidate programs mostly differ, but the
     // final re-run and any re-visited candidates hit it.
     let cache = Cache::in_memory();
-    let still_fails = &mut |p: &FuzzProgram| match run_case_in(
+    let still_fails = &mut |p: &FuzzProgram| match run_case(
         &cache,
-        p,
+        &p.emit(),
         tset,
         variant_seed,
         inputs,
@@ -352,8 +353,9 @@ fn capture_finding(
     tel.add("fuzz.shrink_evals", stats.evals as u64);
 
     // Re-run the shrunk case once to capture its final verdicts.
+    let source = small.emit();
     let (expected, actual, dynamic, rejected, static_findings) =
-        match run_case_in(&cache, &small, tset, variant_seed, inputs, config.sabotage) {
+        match run_case(&cache, &source, tset, variant_seed, inputs, config.sabotage) {
             Err(e) => (
                 Vec::new(),
                 Vec::new(),
@@ -377,7 +379,6 @@ fn capture_finding(
             ),
         };
 
-    let source = small.emit();
     Finding {
         id: finding_id(&source, tset, variant_seed, inputs),
         iter,

@@ -105,13 +105,11 @@ mod tests {
     #[test]
     fn thresholds_are_monotone() {
         use pgsd_core::{BuildConfig, Session, Strategy};
-        let module = pgsd_cc::driver::frontend(
+        let session = Session::from_source(
             "t",
             "int main(int n) { int s = 1; while (n > 1) { s *= n; n -= 1; } return s; }",
         )
-        .unwrap();
-        let session =
-            Session::new(module).config(BuildConfig::diversified(Strategy::uniform(0.3), 0));
+        .config(BuildConfig::diversified(Strategy::uniform(0.3), 0));
         let images = session.population(8).unwrap();
         let texts: Vec<Vec<u8>> = images.into_iter().map(|i| i.text.to_vec()).collect();
         let rep = population_survival(&texts, &NopTable::new(), &cfg());

@@ -17,19 +17,17 @@
 //!    ids refer to the original (uninstrumented) CFG — the one the
 //!    measurement build lowers.
 //!
-//! [`estimate()`] provides a static (no-training) alternative used for
-//! ablation.
+//! Every profile comes from such a training run; there is no static
+//! (no-training) estimator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod estimate;
 pub mod graph;
 pub mod instrument;
 pub mod profile;
 pub mod reconstruct;
 
-pub use estimate::estimate;
 pub use instrument::{instrument, Plan};
 pub use profile::{FuncProfile, Profile};
 pub use reconstruct::reconstruct;

@@ -37,17 +37,12 @@ pub use frame::{
 };
 pub use wire::{DiversifyRequest, Request, Response, Target, VariantInfo};
 
-use pgsd_telemetry::json::Value;
+use pgsd_telemetry::json::quote;
 
 /// Schema version stamped into every envelope and wire frame. Bump on
 /// any breaking change to the envelope layout or the wire types; old
 /// clients then fail loudly instead of misparsing.
 pub const PROTO_SCHEMA_VERSION: u32 = 1;
-
-/// Escapes `s` as a JSON string literal, quotes included.
-pub fn json_string(s: &str) -> String {
-    Value::Str(s.to_owned()).to_string()
-}
 
 /// The shared schema-versioned JSON envelope.
 ///
@@ -94,8 +89,7 @@ impl Envelope {
     /// Appends a string field (escaped).
     #[must_use]
     pub fn str(self, key: &str, value: &str) -> Envelope {
-        let quoted = json_string(value);
-        self.raw(key, quoted)
+        self.raw(key, quote(value))
     }
 
     /// Appends an unsigned integer field.
@@ -110,11 +104,11 @@ impl Envelope {
         use std::fmt::Write as _;
         let mut out = format!(
             "{{\"schema_version\":{PROTO_SCHEMA_VERSION},\"tool\":{},\"verdict\":{}",
-            json_string(&self.tool),
-            json_string(&self.verdict),
+            quote(&self.tool),
+            quote(&self.verdict),
         );
         for (k, v) in &self.fields {
-            write!(out, ",{}:{v}", json_string(k)).expect("infallible");
+            write!(out, ",{}:{v}", quote(k)).expect("infallible");
         }
         out.push('}');
         out

@@ -20,9 +20,9 @@
 //! `metrics`. [`Response::from_json`] folds unknown verdicts into a
 //! typed error instead of guessing.
 
-use pgsd_telemetry::json::{parse, Value};
+use pgsd_telemetry::json::{parse, quote, Value};
 
-use crate::{json_string, Envelope, ErrorCode, ProtoError, PROTO_SCHEMA_VERSION};
+use crate::{Envelope, ErrorCode, ProtoError, PROTO_SCHEMA_VERSION};
 
 /// What a diversify request wants built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,24 +103,24 @@ impl Request {
         };
         let mut out = format!(
             "{{\"schema_version\":{PROTO_SCHEMA_VERSION},\"kind\":{}",
-            json_string(kind)
+            quote(kind)
         );
         if let Request::Diversify(d) = self {
             use std::fmt::Write as _;
             match &d.target {
                 Target::Workload(w) => {
-                    write!(out, ",\"target\":{{\"workload\":{}}}", json_string(w))
+                    write!(out, ",\"target\":{{\"workload\":{}}}", quote(w))
                 }
                 Target::Source { name, text } => write!(
                     out,
                     ",\"target\":{{\"source_name\":{},\"source\":{}}}",
-                    json_string(name),
-                    json_string(text)
+                    quote(name),
+                    quote(text)
                 ),
             }
             .expect("infallible");
             if let Some(p) = &d.pnop {
-                write!(out, ",\"pnop\":{}", json_string(p)).expect("infallible");
+                write!(out, ",\"pnop\":{}", quote(p)).expect("infallible");
             }
             if let Some(s) = d.seed {
                 write!(out, ",\"seed\":{s}").expect("infallible");

@@ -130,6 +130,16 @@ impl fmt::Display for Value {
     }
 }
 
+/// Renders `s` as a JSON string literal, quotes included: `"`, `\` and
+/// control characters are escaped (`\n`, `\r`, `\t`, else `\u00XX`);
+/// everything else, non-ASCII included, is copied as is. The
+/// workspace's one JSON string escaper.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(s, &mut out);
+    out
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -405,6 +415,12 @@ mod tests {
         let v = parse(" { \"k\" : \"a\\n\\u0041\" , \"n\" : [ ] } ").unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("a\nA"));
         assert_eq!(v.get("n").unwrap().as_arr().unwrap().len(), 0);
+        // The writer escapes exactly the quote, the backslash and the
+        // control characters, and copies non-ASCII through.
+        let raw = "q\"b\\n\nr\rt\tc\u{1}é→";
+        let quoted = quote(raw);
+        assert_eq!(quoted, "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001é→\"");
+        assert_eq!(parse(&quoted).unwrap().as_str(), Some(raw));
     }
 
     #[test]

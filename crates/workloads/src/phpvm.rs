@@ -906,11 +906,10 @@ mod tests {
         } else {
             2_000_000
         };
+        let image = session.build().expect("interpreter compiles");
         for p in clbg_programs() {
             let (expected, _) = interpret_reference(&p.words, fuel);
-            let outcome = session
-                .build_and_run(&p.input(fuel), DEFAULT_GAS)
-                .expect("interpreter compiles");
+            let outcome = session.run(&image, &p.input(fuel), DEFAULT_GAS, "run");
             assert_eq!(
                 outcome.status(),
                 Some(expected),

@@ -867,7 +867,8 @@ mod tests {
         // harnesses.
         for w in spec_suite() {
             let session = Session::from_source(w.name, &w.source);
-            let out = session.build_and_run(&w.train[0], DEFAULT_GAS).unwrap();
+            let image = session.build().unwrap();
+            let out = session.run(&image, &w.train[0], DEFAULT_GAS, "run");
             assert!(
                 out.status().is_some(),
                 "{} did not exit cleanly on {:?}: {:?}",
@@ -914,7 +915,8 @@ mod tests {
         for (name, status, instructions) in GOLDEN {
             let w = by_name(name).expect("workload exists");
             let session = Session::from_source(w.name, &w.source);
-            let out = session.build_and_run(&w.reference, DEFAULT_GAS).unwrap();
+            let image = session.build().unwrap();
+            let out = session.run(&image, &w.reference, DEFAULT_GAS, "run");
             assert_eq!(out.status(), Some(*status), "{name} exit status drifted");
             assert_eq!(
                 out.stats.instructions, *instructions,
@@ -931,13 +933,11 @@ mod tests {
     fn ref_runs_are_heavier_than_train() {
         for w in spec_suite() {
             let session = Session::from_source(w.name, &w.source);
-            let reference = session.build_and_run(&w.reference, DEFAULT_GAS).unwrap();
+            let image = session.build().unwrap();
+            let reference = session.run(&image, &w.reference, DEFAULT_GAS, "run");
             let (re, ref_stats) = (reference.exit, reference.stats);
             assert!(re.status().is_some(), "{}: {re:?}", w.name);
-            let train_stats = session
-                .build_and_run(&w.train[0], DEFAULT_GAS)
-                .unwrap()
-                .stats;
+            let train_stats = session.run(&image, &w.train[0], DEFAULT_GAS, "run").stats;
             // The paper's train inputs are smaller than ref but the ratio
             // varies per benchmark (456.hmmer trains long so its x_max
             // stays the suite's largest, as in §3.1).

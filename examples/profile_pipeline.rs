@@ -9,7 +9,7 @@
 use pgsd::cc::driver::{emit_image, frontend, lower_module_seeded};
 use pgsd::core::driver::{BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Curve, Session, Strategy};
-use pgsd::profile::{estimate, instrument};
+use pgsd::profile::instrument;
 
 const SOURCE: &str = r#"
 int histogram[256];
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stage 2: instrumentation — only the spanning-tree complement gets
     // counters (the paper: "LLVM only inserts counters for the minimal
     // required subset of edges").
-    let mut instrumented = module.clone();
+    let mut instrumented = module;
     let plan = instrument(&mut instrumented);
     let total_edges: usize = plan.funcs.iter().map(|f| f.graph.edges.len()).sum();
     println!(
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stage 3: the training run reconstructs every block count from the
     // minimal counter set by flow conservation. The session keeps the
     // profile active for every later diversified build.
-    let session = Session::new(module.clone());
+    let session = Session::from_source("histogram", SOURCE);
     let profile = session.train(&[Input::args(&[2_000])], DEFAULT_GAS)?;
     let x_max = profile.max_count();
     println!(
@@ -88,13 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // A static estimate needs no training run but misses the real skew.
-    let est = estimate(&module);
-    println!(
-        "\nstatic estimator for comparison: x_max = {} (loop-depth heuristic)",
-        est.max_count()
-    );
-
     // Stage 4: measure what profile guidance buys on the reference input.
     let baseline = session.build()?;
     let input = Input::args(&[200_000]);
@@ -106,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             session.build_with(&cfg).expect("builds")
         } else {
             // A throwaway session over the same module: no profile set.
-            Session::new(module.clone())
+            Session::from_source("histogram", SOURCE)
                 .build_with(&cfg)
                 .expect("builds")
         };

@@ -634,7 +634,7 @@ fn run_json(outcome: &pgsd::core::RunOutcome) -> String {
     let output: Vec<String> = stats.output.iter().map(ToString::to_string).collect();
     let exit = match outcome.status() {
         Some(s) => s.to_string(),
-        None => pgsd::proto::json_string(&format!("{:?}", outcome.exit)),
+        None => pgsd::telemetry::json::quote(&format!("{:?}", outcome.exit)),
     };
     format!(
         "{{\"exit\":{exit},\"instructions\":{},\"cycles\":{},\
@@ -1095,10 +1095,10 @@ fn cmd_cache(a: &Args) -> Result<(), CliError> {
             if json {
                 // Schema-versioned, fixed field order — golden-test safe.
                 println!(
-                    "{{\"schema_version\":1,\"tool\":\"pgsd-cache\",\"dir\":\"{}\",\
+                    "{{\"schema_version\":1,\"tool\":\"pgsd-cache\",\"dir\":{},\
                      \"disk_entries\":{},\"disk_bytes\":{},\
                      \"ledger_records\":{},\"ledger_bytes\":{}}}",
-                    pgsd::analysis::diag::json_escape(&dir.display().to_string()),
+                    pgsd::telemetry::json::quote(&dir.display().to_string()),
                     stats.disk_entries,
                     stats.disk_bytes,
                     stats.ledger_records,
@@ -1313,60 +1313,62 @@ fn cmd_bench(a: &Args) -> Result<(), CliError> {
         serve_results.push(r);
     }
 
-    let sink = pgsd::bench::MetricsSink::new("bench");
-    sink.gauge("bench.threads", threads as f64);
+    let tel = Telemetry::enabled();
+    tel.set_gauge("bench.threads", threads as f64);
     // The speedup only means something relative to the cores actually
     // present (e.g. 4 threads on a 1-core box is a slowdown).
-    sink.gauge(
+    tel.set_gauge(
         "bench.host_parallelism",
         pgsd::exec::available_threads() as f64,
     );
-    sink.gauge_labeled(
-        "bench.wall_ms",
-        &[("cache", "cold"), ("threads", "1")],
+    tel.set_gauge(
+        &pgsd::telemetry::labeled("bench.wall_ms", &[("cache", "cold"), ("threads", "1")]),
         serial.wall_ms,
     );
-    sink.gauge_labeled(
-        "bench.wall_ms",
-        &[("cache", "cold"), ("threads", &threads.to_string())],
+    tel.set_gauge(
+        &pgsd::telemetry::labeled(
+            "bench.wall_ms",
+            &[("cache", "cold"), ("threads", &threads.to_string())],
+        ),
         parallel.wall_ms,
     );
-    sink.gauge_labeled(
-        "bench.wall_ms",
-        &[("cache", "warm"), ("threads", &threads.to_string())],
+    tel.set_gauge(
+        &pgsd::telemetry::labeled(
+            "bench.wall_ms",
+            &[("cache", "warm"), ("threads", &threads.to_string())],
+        ),
         warm.wall_ms,
     );
-    sink.gauge("bench.speedup_vs_1thread", speedup);
-    sink.gauge("bench.cache_warm_speedup", warm_speedup);
-    sink.gauge("bench.emulated_mcycles", parallel.cycles as f64 / 1e6);
-    sink.count("bench.builds", parallel.builds);
-    sink.count("bench.runs", parallel.runs);
-    sink.gauge(
+    tel.set_gauge("bench.speedup_vs_1thread", speedup);
+    tel.set_gauge("bench.cache_warm_speedup", warm_speedup);
+    tel.set_gauge("bench.emulated_mcycles", parallel.cycles as f64 / 1e6);
+    tel.add("bench.builds", parallel.builds);
+    tel.add("bench.runs", parallel.runs);
+    tel.set_gauge(
         "bench.ledger_variants_per_sec",
         campaign.variants() as f64 / campaign.ledger_secs.max(1e-9),
     );
-    sink.gauge(
+    tel.set_gauge(
         "bench.symbolicate_per_sec",
         campaign.symbolicate_calls as f64 / campaign.symbolicate_secs.max(1e-9),
     );
-    sink.gauge(
+    tel.set_gauge(
         "bench.fleet_remap_accuracy_pct",
         campaign.accuracy_pct() as f64,
     );
     for r in &serve_results {
         let clients = r.clients.to_string();
-        sink.gauge_labeled(
-            "bench.serve_variants_per_sec",
-            &[("clients", &clients)],
+        tel.set_gauge(
+            &pgsd::telemetry::labeled("bench.serve_variants_per_sec", &[("clients", &clients)]),
             r.variants_per_sec(),
         );
-        sink.gauge_labeled(
-            "bench.serve_bytes_served",
-            &[("clients", &clients)],
+        tel.set_gauge(
+            &pgsd::telemetry::labeled("bench.serve_bytes_served", &[("clients", &clients)]),
             r.bytes_served as f64,
         );
     }
-    let path = sink.finish_to(Path::new(&out));
+    std::fs::write(out, tel.metrics_json())
+        .map_err(|e| format!("cannot write metrics `{out}`: {e}"))?;
 
     println!(
         "bench slice: {:.0} ms at 1 thread, {:.0} ms at {threads} threads \
@@ -1396,7 +1398,7 @@ fn cmd_bench(a: &Args) -> Result<(), CliError> {
             r.bytes_served / 1024,
         );
     }
-    println!("results written to {}", path.display());
+    println!("results written to {out}");
     Ok(())
 }
 

@@ -42,7 +42,8 @@
 //!
 //! let session = Session::from_source("demo", "int main(int n) { return n + 1; }")
 //!     .config(BuildConfig::diversified(Strategy::uniform(0.5), 7));
-//! let outcome = session.build_and_run(&Input::args(&[41]), 100_000)?;
+//! let image = session.build()?;
+//! let outcome = session.run(&image, &Input::args(&[41]), 100_000, "run");
 //! assert_eq!(outcome.status(), Some(42));
 //! # Ok::<(), pgsd::cc::error::CompileError>(())
 //! ```

@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: the full pipeline from MiniC source to
 //! emulated execution, with and without profiling and diversification.
 
-use pgsd::cc::driver::frontend;
 use pgsd::core::driver::{run, BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Curve, Session, Strategy};
 use pgsd::emu::Exit;
@@ -115,7 +114,7 @@ fn kitchen_sink_matches_rust_reference() {
 
 #[test]
 fn every_strategy_preserves_semantics() {
-    let session = Session::new(frontend("sink", KITCHEN_SINK).unwrap());
+    let session = Session::from_source("sink", KITCHEN_SINK);
     session
         .train(&[Input::args(&[12, 34])], DEFAULT_GAS)
         .unwrap();
@@ -132,7 +131,7 @@ fn every_strategy_preserves_semantics() {
 
 #[test]
 fn xchg_table_and_shifting_preserve_semantics() {
-    let session = Session::new(frontend("sink", KITCHEN_SINK).unwrap());
+    let session = Session::from_source("sink", KITCHEN_SINK);
     session
         .train(&[Input::args(&[12, 34])], DEFAULT_GAS)
         .unwrap();
@@ -153,7 +152,7 @@ fn xchg_table_and_shifting_preserve_semantics() {
 fn full_diversity_stack_preserves_semantics() {
     // NOP insertion + substitution + block shifting + register
     // randomization all at once, across seeds.
-    let session = Session::new(frontend("sink", KITCHEN_SINK).unwrap());
+    let session = Session::from_source("sink", KITCHEN_SINK);
     session
         .train(&[Input::args(&[12, 34])], DEFAULT_GAS)
         .unwrap();
@@ -218,7 +217,7 @@ fn substitution_alone_diversifies_and_preserves() {
 
 #[test]
 fn populations_are_pairwise_distinct_and_reproducible() {
-    let session = Session::new(frontend("sink", KITCHEN_SINK).unwrap())
+    let session = Session::from_source("sink", KITCHEN_SINK)
         .config(BuildConfig::diversified(Strategy::uniform(0.4), 7));
     let images = session.population(6).unwrap();
     for (i, a) in images.iter().enumerate() {
@@ -282,8 +281,7 @@ fn division_traps_are_observable() {
 
 #[test]
 fn profiles_survive_text_round_trip_and_guide_builds() {
-    let module = frontend("sink", KITCHEN_SINK).unwrap();
-    let session = Session::new(module.clone());
+    let session = Session::from_source("sink", KITCHEN_SINK);
     let profile = session
         .train(&[Input::args(&[12, 34])], DEFAULT_GAS)
         .unwrap();
@@ -293,7 +291,7 @@ fn profiles_survive_text_round_trip_and_guide_builds() {
     // A build guided by the round-tripped profile is byte-identical.
     let config = BuildConfig::diversified(Strategy::range(0.0, 0.3), 3);
     let a = session.build_with(&config).unwrap();
-    let b = Session::new(module)
+    let b = Session::from_source("sink", KITCHEN_SINK)
         .profile(parsed)
         .build_with(&config)
         .unwrap();

@@ -8,7 +8,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pgsd::cc::driver::frontend;
 use pgsd::core::driver::{BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Session, Strategy};
 use pgsd::fuzz::diff::{Sabotage, TransformSet};
@@ -38,7 +37,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Returns the formatted CSV rows, exactly as `fig4_overhead` lays its
 /// aggregation out.
 fn mini_fig4_csv(threads: usize) -> Vec<String> {
-    let session = Session::new(frontend("mini", SRC).unwrap()).threads(threads);
+    let session = Session::from_source("mini", SRC).threads(threads);
     session.train(&[Input::args(&[20])], DEFAULT_GAS).unwrap();
     let configs = Strategy::paper_configs();
     let seeds = 4u64;
@@ -76,7 +75,7 @@ fn fig4_style_csv_rows_are_identical_across_thread_counts() {
 /// match across thread counts.
 fn mini_table3(threads: usize) -> (Vec<Vec<u8>>, String, Vec<usize>) {
     let tel = Telemetry::enabled();
-    let session = Session::new(frontend("mini", SRC).unwrap())
+    let session = Session::from_source("mini", SRC)
         .config(BuildConfig::diversified(Strategy::uniform(0.4), 0))
         .telemetry(tel.clone())
         .threads(threads);
