@@ -9,8 +9,8 @@
 //! the spread-out-profile benchmark the paper uses as its example
 //! (473.astar) and on the full suite in aggregate.
 
-use pgsd_bench::{geomean_pct, prepare, row, selected_suite, write_csv, ProgressTimer};
-use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
+use pgsd_bench::{geomean_pct, prepare, row, selected_suite, sweep, write_csv, ProgressTimer};
+use pgsd_core::driver::BuildConfig;
 use pgsd_core::{Curve, Strategy};
 use pgsd_gadget::{survivor, ScanConfig};
 use pgsd_x86::nop::NopTable;
@@ -66,7 +66,8 @@ fn main() {
     println!("(the linear curve crowds blocks into the hottest or coldest bucket;\n the log curve spreads them — the paper's argument for choosing it)\n");
 
     // Aggregate overhead and security across the suite.
-    let seeds = 3u64;
+    let seeds = 3;
+    let curves = [lin, log].map(|c| BuildConfig::diversified(c, 0));
     let mut csv = Vec::new();
     let mut ovh = (Vec::new(), Vec::new());
     let mut surv = (0f64, 0f64);
@@ -75,28 +76,16 @@ fn main() {
     for w in selected_suite() {
         let name = w.name;
         let p = prepare(w);
-        let out = p
-            .session
-            .run(&p.baseline, &p.workload.reference, DEFAULT_GAS, "baseline");
-        let expected = out.status().expect("baseline runs");
-        let base = out.stats.cycles as f64;
-        // One job per (curve, seed); the per-curve means below accumulate
-        // in the serial (curve, seed) order, so output bytes match the
-        // single-threaded run.
-        let curves = [lin, log];
-        let jobs: Vec<(usize, u64)> = (0..curves.len())
-            .flat_map(|ci| (0..seeds).map(move |seed| (ci, seed)))
-            .collect();
-        let measured = pgsd_exec::map_indexed(threads, &jobs, |_, &(ci, seed)| {
-            let image = p.build(&BuildConfig::diversified(curves[ci], seed));
+        let (expected, base) = p.reference();
+        let base = base as f64;
+        let measured = sweep(&p.session, &curves, seeds, threads, |image| {
             let survivors = survivor(&p.baseline.text, &image.text, &table, &cfg).count();
             (p.ref_cycles(&image, Some(expected)), survivors)
         });
         let mut m = [0f64; 2];
         let mut s = [0f64; 2];
-        for (ci, _) in curves.iter().enumerate() {
-            for seed in 0..seeds as usize {
-                let (cycles, survivors) = measured[ci * seeds as usize + seed];
+        for (ci, per_seed) in measured.iter().enumerate() {
+            for &(cycles, survivors) in per_seed {
                 m[ci] += cycles as f64 / seeds as f64;
                 s[ci] += survivors as f64 / seeds as f64;
             }

@@ -10,8 +10,10 @@
 //! reduce the performance impact" — this harness measures exactly that
 //! stack, profile-guided throughout.
 
-use pgsd_bench::{geomean_pct, prepare, row, selected_suite, versions, write_csv, ProgressTimer};
-use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
+use pgsd_bench::{
+    geomean_pct, prepare, row, selected_suite, sweep, versions, write_csv, ProgressTimer,
+};
+use pgsd_core::driver::BuildConfig;
 use pgsd_core::Strategy;
 use pgsd_gadget::{survivor, ScanConfig};
 use pgsd_x86::nop::NopTable;
@@ -26,35 +28,24 @@ fn main() {
     let cfg_scan = ScanConfig::default();
     let table = NopTable::new();
 
-    type ConfigFn = Box<dyn Fn(u64) -> BuildConfig + Sync>;
-    let variants: Vec<(&str, ConfigFn)> = vec![
-        (
-            "nop",
-            Box::new(move |seed| BuildConfig::diversified(strategy, seed)),
-        ),
-        (
-            "nop+subst",
-            Box::new(move |seed| BuildConfig {
-                substitution: Some(strategy),
-                ..BuildConfig::diversified(strategy, seed)
-            }),
-        ),
-        (
-            "nop+regrand",
-            Box::new(move |seed| BuildConfig {
-                reg_randomize: true,
-                ..BuildConfig::diversified(strategy, seed)
-            }),
-        ),
-        (
-            "full stack",
-            Box::new(move |seed| BuildConfig::full_diversity(strategy, seed)),
-        ),
+    let nop = BuildConfig::diversified(strategy, 0);
+    let variants = ["nop", "nop+subst", "nop+regrand", "full stack"];
+    let configs = [
+        nop.clone(),
+        BuildConfig {
+            substitution: Some(strategy),
+            ..nop.clone()
+        },
+        BuildConfig {
+            reg_randomize: true,
+            ..nop
+        },
+        BuildConfig::full_diversity(strategy, 0),
     ];
 
     let widths = [16usize, 12, 12, 12, 12, 12, 12, 12, 12];
     let mut header = vec!["benchmark".to_string()];
-    for (name, _) in &variants {
+    for name in variants {
         header.push(format!("{name} surv"));
         header.push(format!("{name} ovh"));
     }
@@ -66,28 +57,18 @@ fn main() {
     for w in selected_suite() {
         let name = w.name;
         let p = prepare(w);
-        let out = p
-            .session
-            .run(&p.baseline, &p.workload.reference, DEFAULT_GAS, "baseline");
-        let expected = out.status().expect("baseline runs");
-        let base_cycles = out.stats.cycles as f64;
+        let (expected, base_cycles) = p.reference();
+        let base_cycles = base_cycles as f64;
         let mut cells = vec![name.to_string()];
         let mut csv_row = vec![name.to_string()];
-        // One job per (variant, seed); per-variant means accumulate in
-        // serial order below.
-        let jobs: Vec<(usize, u64)> = (0..variants.len())
-            .flat_map(|vi| (0..n_versions as u64).map(move |seed| (vi, seed)))
-            .collect();
-        let measured = pgsd_exec::map_indexed(threads, &jobs, |_, &(vi, seed)| {
-            let image = p.build(&variants[vi].1(seed));
+        let measured = sweep(&p.session, &configs, n_versions, threads, |image| {
             let survivors = survivor(&p.baseline.text, &image.text, &table, &cfg_scan).count();
             (survivors, p.ref_cycles(&image, Some(expected)))
         });
-        for (vi, _) in variants.iter().enumerate() {
+        for (vi, per_seed) in measured.iter().enumerate() {
             let mut survivors = 0f64;
             let mut cycles = 0f64;
-            for seed in 0..n_versions {
-                let (surv, cyc) = measured[vi * n_versions + seed];
+            for &(surv, cyc) in per_seed {
                 survivors += surv as f64 / n_versions as f64;
                 cycles += cyc as f64 / n_versions as f64;
             }
@@ -104,14 +85,14 @@ fn main() {
     }
     let n = geo[0].len() as f64;
     let mut cells = vec!["suite".to_string()];
-    for (vi, _) in variants.iter().enumerate() {
-        cells.push(format!("{:.1}", surv_sum[vi] / n));
-        cells.push(format!("{:.2}%", geomean_pct(&geo[vi])));
+    for (ovh, surv) in geo.iter().zip(&surv_sum) {
+        cells.push(format!("{:.1}", surv / n));
+        cells.push(format!("{:.2}%", geomean_pct(ovh)));
     }
     println!("{}", row(&cells, &widths));
 
     let mut header_csv = vec!["benchmark".to_string()];
-    for (name, _) in &variants {
+    for name in variants {
         header_csv.push(format!("{}_survivors", name.replace([' ', '+'], "_")));
         header_csv.push(format!("{}_overhead_pct", name.replace([' ', '+'], "_")));
     }

@@ -7,8 +7,8 @@
 //! *earliest* user-code gadgets survive with NOP insertion alone versus
 //! NOP insertion plus shifting, and what the shifting costs at run time.
 
-use pgsd_bench::{prepare, row, selected_suite, versions, write_csv, ProgressTimer};
-use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
+use pgsd_bench::{prepare, row, selected_suite, sweep, versions, write_csv, ProgressTimer};
+use pgsd_core::driver::BuildConfig;
 use pgsd_core::Strategy;
 use pgsd_gadget::{find_gadgets, survivor, ScanConfig};
 use pgsd_x86::nop::NopTable;
@@ -19,9 +19,10 @@ fn main() {
     let t = ProgressTimer::start(format!(
         "block-shifting ablation ({n_versions} versions, {threads} threads)"
     ));
-    let strategy = Strategy::range(0.0, 0.30);
     let cfg = ScanConfig::default();
     let table = NopTable::new();
+    let nop = BuildConfig::diversified(Strategy::range(0.0, 0.30), 0);
+    let configs = [nop.clone(), BuildConfig { shift: true, ..nop }];
 
     let widths = [16usize, 12, 14, 14, 12, 12];
     println!(
@@ -67,34 +68,16 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
 
-        let out = p
-            .session
-            .run(&p.baseline, &p.workload.reference, DEFAULT_GAS, "baseline");
-        let expected = out.status().expect("baseline runs");
-        let base_cycles = out.stats.cycles as f64;
-
-        // One job per (variant, seed), averaged in serial order below so
-        // the CSV is identical at any thread count.
-        let jobs: Vec<(bool, u64)> = [false, true]
-            .into_iter()
-            .flat_map(|ws| (0..n_versions as u64).map(move |seed| (ws, seed)))
-            .collect();
-        let measured = pgsd_exec::map_indexed(threads, &jobs, |_, &(with_shift, seed)| {
-            let config = BuildConfig {
-                strategy: Some(strategy),
-                shift: with_shift,
-                seed,
-                ..BuildConfig::baseline()
-            };
-            let image = p.build(&config);
+        let (expected, base_cycles) = p.reference();
+        let base_cycles = base_cycles as f64;
+        let measured = sweep(&p.session, &configs, n_versions, threads, |image| {
             let rep = survivor(&p.baseline.text, &image.text, &table, &cfg);
             (early(&rep.survivors), p.ref_cycles(&image, Some(expected)))
         });
         let mut surv_counts = [0f64; 2];
         let mut cycles = [0f64; 2];
-        for ci in 0..2 {
-            for seed in 0..n_versions {
-                let (early_surv, cyc) = measured[ci * n_versions + seed];
+        for (ci, per_seed) in measured.iter().enumerate() {
+            for &(early_surv, cyc) in per_seed {
                 surv_counts[ci] += early_surv as f64 / n_versions as f64;
                 cycles[ci] += cyc as f64 / n_versions as f64;
             }

@@ -9,6 +9,7 @@
 //! equivalent in the diversified version.
 
 use pgsd_bench::prepare;
+use pgsd_core::driver::BuildConfig;
 use pgsd_core::Strategy;
 use pgsd_gadget::{find_gadgets, gadget_at, ScanConfig};
 use pgsd_x86::nop::NopTable;
@@ -40,7 +41,10 @@ fn main() {
     let workload = pgsd_workloads::by_name("401.bzip2").expect("suite workload");
     let prepared = prepare(workload);
     let base = &prepared.baseline;
-    let div = prepared.diversified(Strategy::uniform(0.5), 3);
+    let div = prepared
+        .session
+        .build_with(&BuildConfig::diversified(Strategy::uniform(0.5), 3))
+        .expect("diversified build");
 
     println!("Figure 2: effect of NOP insertion on program code\n");
 

@@ -9,14 +9,15 @@
 //! deterministic, so repeated runs of one version are unnecessary.
 
 use pgsd_bench::{
-    geomean_pct, perf_seeds, prepare, row, selected_suite, write_csv, write_metrics, ProgressTimer,
+    geomean_pct, paper_builds, perf_seeds, prepare, row, selected_suite, sweep, write_csv,
+    write_metrics, ProgressTimer,
 };
-use pgsd_core::driver::DEFAULT_GAS;
 use pgsd_core::Strategy;
 use pgsd_telemetry::{labeled, Telemetry};
 
 fn main() {
     let configs = Strategy::paper_configs();
+    let builds = paper_builds();
     let seeds = perf_seeds();
     let threads = pgsd_bench::threads();
     let tel = Telemetry::enabled();
@@ -39,13 +40,8 @@ fn main() {
         let name = w.name;
         names.push(name);
         let p = prepare(w);
-        let out = p
-            .session
-            .run(&p.baseline, &p.workload.reference, DEFAULT_GAS, "baseline");
-        let expected = out
-            .status()
-            .unwrap_or_else(|| panic!("{name} baseline failed: {:?}", out.exit));
-        let base_cycles = out.stats.cycles as f64;
+        let (expected, base_cycles) = p.reference();
+        let base_cycles = base_cycles as f64;
         tel.add("fig4.benchmarks", 1);
         tel.set_gauge(
             &labeled("fig4.base_cycles", &[("benchmark", name)]),
@@ -54,22 +50,12 @@ fn main() {
 
         let mut cells = vec![name.to_string(), format!("{:.1}", base_cycles / 1e6)];
         let mut csv_row = vec![name.to_string(), format!("{base_cycles}")];
-        // Every (config, seed) build-and-measure is an independent job;
-        // aggregation below walks the results in job-index order, so the
-        // CSV is byte-identical at any thread count.
-        let jobs: Vec<(usize, u64)> = (0..configs.len())
-            .flat_map(|ci| (0..seeds).map(move |seed| (ci, seed)))
-            .collect();
-        let cycles = pgsd_exec::map_indexed(threads, &jobs, |_, &(ci, seed)| {
-            let image = p.diversified(configs[ci].1, seed);
+        let cycles = sweep(&p.session, &builds, seeds, threads, |image| {
             p.ref_cycles(&image, Some(expected))
         });
         for (ci, (label, _)) in configs.iter().enumerate() {
-            let mut total = 0f64;
-            for seed in 0..seeds as usize {
-                total += cycles[ci * seeds as usize + seed] as f64;
-                tel.add("fig4.runs", 1);
-            }
+            let total: f64 = cycles[ci].iter().map(|&c| c as f64).sum();
+            tel.add("fig4.runs", seeds as u64);
             let overhead = (total / seeds as f64 / base_cycles - 1.0) * 100.0;
             tel.set_gauge(
                 &labeled(

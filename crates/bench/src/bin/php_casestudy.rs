@@ -12,7 +12,7 @@
 //!    original only works if its gadgets survive at their offsets;
 //! 3. report whether any diversified version remains attackable.
 
-use pgsd_bench::{versions, write_csv, ProgressTimer};
+use pgsd_bench::{sweep, versions, write_csv, ProgressTimer};
 use pgsd_core::driver::{BuildConfig, DEFAULT_GAS};
 use pgsd_core::{Session, Strategy};
 use pgsd_gadget::{
@@ -69,7 +69,7 @@ fn main() {
         );
     }
 
-    let strategy = Strategy::range(0.0, 0.30);
+    let config = [BuildConfig::diversified(Strategy::range(0.0, 0.30), 0)];
     let mut csv = Vec::new();
     let mut any_attackable = 0usize;
     let mut total = 0usize;
@@ -82,16 +82,15 @@ fn main() {
             .unwrap_or_else(|e| panic!("training on {} failed: {e}", program.name));
         // Each seed's build + survivor scan + attack checks is one job;
         // counts are summed in seed order.
-        let per_seed = pgsd_exec::run_jobs(threads, n_versions, |seed| {
-            let config = BuildConfig::diversified(strategy, seed as u64);
-            let image = session.build_with(&config).expect("diversified build");
+        let per_seed = sweep(&session, &config, n_versions, threads, |image| {
             let survivors = surviving_attack_gadgets(&baseline.text, &image.text, &table);
             let feasible: Vec<bool> = templates
                 .iter()
                 .map(|tpl| check_attack_on_gadgets(&baseline.text, &survivors, tpl).feasible())
                 .collect();
             (survivors.len(), feasible)
-        });
+        })
+        .remove(0);
         let mut feasible_counts = [0usize; 2];
         let mut survivor_total = 0usize;
         for (count, feasible) in &per_seed {

@@ -17,7 +17,10 @@
 //! Benchmarks print sorted by baseline gadget count, as in the paper.
 
 use pgsd_analysis::{classify_offsets, recover};
-use pgsd_bench::{prepare, row, selected_suite, versions, write_csv, write_metrics, ProgressTimer};
+use pgsd_bench::{
+    paper_builds, prepare, row, selected_suite, sweep, versions, write_csv, write_metrics,
+    ProgressTimer,
+};
 use pgsd_core::Strategy;
 use pgsd_gadget::{find_gadgets, survivor, ScanConfig};
 use pgsd_telemetry::{labeled, Telemetry};
@@ -25,6 +28,7 @@ use pgsd_x86::nop::NopTable;
 
 fn main() {
     let configs = Strategy::paper_configs();
+    let builds = paper_builds();
     let n_versions = versions();
     let threads = pgsd_bench::threads();
     let t = ProgressTimer::start(format!(
@@ -53,13 +57,7 @@ fn main() {
             &[("benchmark", name)],
             baseline as u64,
         );
-        // One job per (config, seed); survivor counts are summed in job
-        // order so the averages match the serial run exactly.
-        let jobs: Vec<(usize, u64)> = (0..configs.len())
-            .flat_map(|ci| (0..n_versions as u64).map(move |seed| (ci, seed)))
-            .collect();
-        let survivors = pgsd_exec::map_indexed(threads, &jobs, |_, &(ci, seed)| {
-            let image = p.diversified(configs[ci].1, seed);
+        let survivors = sweep(&p.session, &builds, n_versions, threads, |image| {
             let rep = survivor(&p.baseline.text, &image.text, &table, &cfg);
             let counts = classify_offsets(&recover(&image), &rep.survivors);
             (counts.total(), counts.reachable)
@@ -67,9 +65,8 @@ fn main() {
         let mut avg = Vec::new();
         let mut avg_reach = Vec::new();
         for (ci, (label, _)) in configs.iter().enumerate() {
-            let slice = &survivors[ci * n_versions..(ci + 1) * n_versions];
-            let total: usize = slice.iter().map(|(t, _)| t).sum();
-            let reach: usize = slice.iter().map(|(_, r)| r).sum();
+            let total: usize = survivors[ci].iter().map(|(t, _)| t).sum();
+            let reach: usize = survivors[ci].iter().map(|(_, r)| r).sum();
             let mean = total as f64 / n_versions as f64;
             let mean_reach = reach as f64 / n_versions as f64;
             tel.set_gauge(

@@ -13,7 +13,9 @@
 use std::collections::{HashMap, HashSet};
 
 use pgsd_analysis::{audit::classify_offset, recover, SurvivorClass};
-use pgsd_bench::{prepare, row, selected_suite, versions, write_csv, ProgressTimer};
+use pgsd_bench::{
+    paper_builds, prepare, row, selected_suite, sweep, versions, write_csv, ProgressTimer,
+};
 use pgsd_cc::emit::Image;
 use pgsd_core::Strategy;
 use pgsd_gadget::{find_gadgets, normalized_gadgets, population_survival, ScanConfig};
@@ -77,8 +79,7 @@ fn main() {
         let baseline = find_gadgets(&p.baseline.text, &cfg).len();
         let mut counts = Vec::new();
         let mut counts_reach = Vec::new();
-        for (_, strat) in &configs {
-            let images = p.population_images(*strat, n_versions, threads);
+        for images in sweep(&p.session, &paper_builds(), n_versions, threads, |i| i) {
             let texts: Vec<Vec<u8>> = images.iter().map(|i| i.text.to_vec()).collect();
             let report = population_survival(&texts, &table, &cfg);
             counts.push(report.thresholds(&ks));

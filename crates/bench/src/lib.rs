@@ -14,6 +14,7 @@
 //! | `php_casestudy` | §5.2 concrete-attack experiment |
 //! | `ablation_curves` | §3.1 linear-vs-log heuristic comparison |
 //! | `ablation_shift` | §6 basic-block shifting extension |
+//! | `ablation_extensions` | §6 substitution + register randomization stack |
 //! | `table_fleet` | fleet crash-symbolication campaign ([`fleet`]) |
 //!
 //! Environment knobs: `PGSD_VERSIONS` (population size, default 25),
@@ -21,9 +22,11 @@
 //! `PGSD_SEEDS` (performance seeds per configuration, default 5),
 //! `PGSD_BENCH` (comma-separated benchmark substring filter),
 //! `PGSD_THREADS` / `--threads N` (worker threads; default = available
-//! parallelism). Every harness fans its per-config/per-seed jobs out
-//! through `pgsd_exec` and collects results in job-index order, so CSV
-//! and metrics outputs are byte-identical at any thread count.
+//! parallelism). Figure 4, Tables 2–3, the PHP case study, the three
+//! ablations and `pgsd bench`'s slice all build and measure their
+//! versions through one [`sweep`] (config × seed), which returns results
+//! in seed order, so CSV and metrics outputs are byte-identical at any
+//! thread count; [`Prepared::reference`] is their baseline ref run.
 //!
 //! Each binary writes its table with [`write_csv`] and its headline
 //! numbers, recorded into one enabled [`Telemetry`] handle, with
@@ -52,8 +55,8 @@ pub fn versions() -> usize {
 
 /// Number of seeds per performance measurement (paper: 5 versions × 3
 /// runs; our emulator is deterministic, so one run per seed suffices).
-pub fn perf_seeds() -> u64 {
-    env_usize("PGSD_SEEDS", 5) as u64
+pub fn perf_seeds() -> usize {
+    env_usize("PGSD_SEEDS", 5)
 }
 
 pub(crate) fn env_usize(name: &str, default: usize) -> usize {
@@ -124,51 +127,80 @@ pub fn prepare(workload: Workload) -> Prepared {
 }
 
 impl Prepared {
-    /// Builds one diversified version.
-    pub fn diversified(&self, strategy: Strategy, seed: u64) -> Image {
-        self.build(&BuildConfig::diversified(strategy, seed))
-    }
-
-    /// Builds one image under an arbitrary configuration (the ablation
-    /// harnesses tweak transform fields beyond strategy × seed).
+    /// Runs the baseline on the reference input and returns its exit
+    /// status and cycle count: the status every variant must reproduce
+    /// and the denominator of every overhead figure.
     ///
     /// # Panics
     ///
-    /// Panics on build failure.
-    pub fn build(&self, config: &BuildConfig) -> Image {
-        self.session
-            .build_with(config)
-            .unwrap_or_else(|e| panic!("{} diversified build failed: {e}", self.workload.name))
-    }
-
-    /// Builds a population of diversified images on `threads` workers.
-    /// Seeds are `0..n`, results in seed order regardless of thread
-    /// count.
-    pub fn population_images(&self, strategy: Strategy, n: usize, threads: usize) -> Vec<Image> {
-        pgsd_exec::run_jobs(threads, n, |s| self.diversified(strategy, s as u64))
+    /// Panics if the baseline does not exit normally.
+    pub fn reference(&self) -> (i32, u64) {
+        self.ref_run(&self.baseline)
     }
 
     /// Runs an image on the reference input, asserting it matches the
     /// baseline's behaviour, and returns its cycle count.
     pub fn ref_cycles(&self, image: &Image, expected: Option<i32>) -> u64 {
+        let (status, cycles) = self.ref_run(image);
+        assert!(
+            expected.is_none_or(|e| e == status),
+            "{}: diversified output diverged",
+            self.workload.name
+        );
+        cycles
+    }
+
+    fn ref_run(&self, image: &Image) -> (i32, u64) {
         let outcome = self
             .session
             .run(image, &self.workload.reference, DEFAULT_GAS, "ref");
         let status = outcome.status().unwrap_or_else(|| {
-            panic!(
-                "{}: diversified run failed: {:?}",
-                self.workload.name, outcome.exit
-            )
+            panic!("{}: ref run failed: {:?}", self.workload.name, outcome.exit)
         });
-        if let Some(e) = expected {
-            assert_eq!(
-                status, e,
-                "{}: diversified output diverged",
-                self.workload.name
-            );
-        }
-        outcome.stats.cycles
+        (status, outcome.stats.cycles)
     }
+}
+
+/// The paper's five configurations ([`Strategy::paper_configs`], same
+/// order) as diversified builds for [`sweep`], which sets the seed.
+pub fn paper_builds() -> Vec<BuildConfig> {
+    Strategy::paper_configs()
+        .into_iter()
+        .map(|(_, strategy)| BuildConfig::diversified(strategy, 0))
+        .collect()
+}
+
+/// Builds `BuildConfig { seed, ..config }` for every config × seed in
+/// `0..seeds` as one job list on `threads` workers and measures each
+/// image. Returns each config's measurements in seed order at any thread
+/// count. Callers average them: Σx/n and Σ(x/n) round differently.
+///
+/// # Panics
+///
+/// Panics on build failure.
+pub fn sweep<M: Send>(
+    session: &Session,
+    configs: &[BuildConfig],
+    seeds: usize,
+    threads: usize,
+    measure: impl Fn(Image) -> M + Sync,
+) -> Vec<Vec<M>> {
+    let mut measured = pgsd_exec::run_jobs(threads, configs.len() * seeds, |job| {
+        let seed = (job % seeds) as u64;
+        let config = BuildConfig {
+            seed,
+            ..configs[job / seeds].clone()
+        };
+        let image = session
+            .build_with(&config)
+            .unwrap_or_else(|e| panic!("{session:?}: seed {seed} build failed: {e}"));
+        measure(image)
+    })
+    .into_iter();
+    configs
+        .iter()
+        .map(|_| measured.by_ref().take(seeds).collect())
+        .collect()
 }
 
 /// Workloads of the fixed `pgsd bench` slice: small enough to finish in
@@ -177,7 +209,7 @@ impl Prepared {
 pub const BENCH_SLICE_WORKLOADS: [&str; 2] = ["470.lbm", "401.bzip2"];
 
 /// Diversified builds per (workload, config) in the bench slice.
-pub const BENCH_SLICE_SEEDS: u64 = 6;
+pub const BENCH_SLICE_SEEDS: usize = 6;
 
 /// One timed run of the bench slice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,22 +243,19 @@ pub fn prepare_bench_slice() -> Vec<Prepared> {
 /// total is a pure function of the seeds, so it must be identical at any
 /// thread count (the determinism test asserts this).
 pub fn measure_bench_slice(prepared: &[Prepared], threads: usize) -> SliceMeasurement {
-    let configs = Strategy::paper_configs();
-    let jobs: Vec<(&Prepared, Strategy, u64)> = prepared
+    let configs = paper_builds();
+    let started = Instant::now();
+    let cycles: Vec<u64> = prepared
         .iter()
         .flat_map(|p| {
-            configs.iter().flat_map(move |&(_, strategy)| {
-                (0..BENCH_SLICE_SEEDS).map(move |seed| (p, strategy, seed))
+            sweep(&p.session, &configs, BENCH_SLICE_SEEDS, threads, |image| {
+                p.ref_cycles(&image, None)
             })
         })
+        .flatten()
         .collect();
-    let started = Instant::now();
-    let cycles = pgsd_exec::map_indexed(threads, &jobs, |_, &(p, strategy, seed)| {
-        let image = p.diversified(strategy, seed);
-        p.ref_cycles(&image, None)
-    });
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let n = jobs.len() as u64;
+    let n = cycles.len() as u64;
     SliceMeasurement {
         wall_ms,
         cycles: cycles.iter().sum(),
@@ -359,7 +388,7 @@ mod tests {
         let p = prepare(w);
         assert!(p.profile.max_count() > 0);
         assert!(!p.baseline.text.is_empty());
-        let d = p.diversified(Strategy::uniform(0.3), 1);
-        assert_ne!(d.text, p.baseline.text);
+        let swept = sweep(&p.session, &paper_builds()[..1], 1, 1, |i| i.text);
+        assert_ne!(swept[0][0], p.baseline.text);
     }
 }

@@ -344,6 +344,45 @@ mod tests {
         }
     }
 
+    /// Threads sharing one handle nest spans on their own stacks: each
+    /// `emit{i}` sits under its own thread's `build{i}`, and the thread
+    /// that finishes first closes none of the other's spans.
+    #[test]
+    fn concurrent_threads_nest_and_close_only_their_own_spans() {
+        let tel = Telemetry::enabled();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for i in 0..2 {
+                let (tel, barrier) = (&tel, &barrier);
+                scope.spawn(move || {
+                    let build = tel.span(&format!("build{i}"));
+                    barrier.wait(); // both builds open
+                    let emit = tel.span(&format!("emit{i}"));
+                    barrier.wait(); // all four spans open
+                    if i == 0 {
+                        drop(emit);
+                        drop(build);
+                    }
+                    barrier.wait(); // thread 0's guards dropped
+                    if i == 1 {
+                        for s in tel.spans().iter().filter(|s| s.name.ends_with('1')) {
+                            assert!(!s.closed, "{} closed before its guard dropped", s.name);
+                        }
+                    }
+                });
+            }
+        });
+        let spans = tel.spans();
+        let find = |name: String| spans.iter().position(|s| s.name == name).unwrap();
+        for i in 0..2 {
+            let (build, emit) = (find(format!("build{i}")), find(format!("emit{i}")));
+            assert_eq!(spans[build].parent, None, "build{i}");
+            assert_eq!(spans[emit].parent, Some(build), "emit{i}");
+            assert_eq!(spans[emit].depth, 1);
+        }
+        assert!(spans.iter().all(|s| s.closed));
+    }
+
     #[test]
     fn counters_accumulate_and_clones_share() {
         let tel = Telemetry::enabled();

@@ -5,6 +5,14 @@
 //! order, so the table is a pre-order traversal of the span tree — the
 //! order assertions in tests and the Chrome-trace exporter both rely on
 //! this.
+//!
+//! One collector may be shared by several threads (the daemon's workers
+//! record every request into one handle). Each open span is tagged with
+//! the thread that opened it, and nesting is per thread: a new span's
+//! parent is the innermost span still open *on the same thread*, so
+//! concurrent threads never adopt or close each other's spans.
+
+use std::thread::{self, ThreadId};
 
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,17 +31,29 @@ pub struct SpanRecord {
     pub closed: bool,
 }
 
-/// The span table plus the stack of currently open spans.
+/// The span table plus the currently open spans, in opening order, each
+/// with the thread that opened it.
 #[derive(Debug, Default)]
 pub(crate) struct SpanTable {
     pub(crate) spans: Vec<SpanRecord>,
-    open: Vec<usize>,
+    open: Vec<(ThreadId, usize)>,
 }
 
 impl SpanTable {
-    /// Opens a span named `name` at `now_ns`, returning its index.
+    /// The innermost span open on thread `me`.
+    fn innermost(&self, me: ThreadId) -> Option<usize> {
+        self.open
+            .iter()
+            .rev()
+            .find(|&&(t, _)| t == me)
+            .map(|&(_, idx)| idx)
+    }
+
+    /// Opens a span named `name` at `now_ns` under the calling thread's
+    /// innermost open span, returning its index.
     pub(crate) fn open(&mut self, name: &str, now_ns: u64) -> usize {
-        let parent = self.open.last().copied();
+        let me = thread::current().id();
+        let parent = self.innermost(me);
         let idx = self.spans.len();
         self.spans.push(SpanRecord {
             name: name.to_owned(),
@@ -43,31 +63,40 @@ impl SpanTable {
             dur_ns: 0,
             closed: false,
         });
-        self.open.push(idx);
+        self.open.push((me, idx));
         idx
     }
 
-    /// Closes span `idx` at `now_ns`. Any still-open descendants (guards
-    /// dropped out of order) are closed at the same instant.
+    /// Closes span `idx` at `now_ns`. Its still-open descendants (guards
+    /// dropped out of order on its thread) are closed at the same
+    /// instant; other threads' spans stay open. A span already closed
+    /// that way is left as it is.
     pub(crate) fn close(&mut self, idx: usize, now_ns: u64) {
-        while let Some(&top) = self.open.last() {
-            self.open.pop();
-            let span = &mut self.spans[top];
-            span.dur_ns = now_ns.saturating_sub(span.start_ns);
-            span.closed = true;
-            if top == idx {
-                return;
+        let Some(pos) = self.open.iter().rposition(|&(_, i)| i == idx) else {
+            return;
+        };
+        let owner = self.open[pos].0;
+        let mut k = pos;
+        while k < self.open.len() {
+            let (t, i) = self.open[k];
+            if t == owner {
+                self.open.remove(k);
+                let span = &mut self.spans[i];
+                span.dur_ns = now_ns.saturating_sub(span.start_ns);
+                span.closed = true;
+            } else {
+                k += 1;
             }
         }
     }
 
     /// Appends another table's spans (a parallel job's subtree), fixing
     /// up parent indices and re-rooting the absorbed roots under the
-    /// currently open span, if any. `shift_ns` rebases the absorbed
-    /// timestamps onto this table's epoch.
+    /// calling thread's innermost open span, if any. `shift_ns` rebases
+    /// the absorbed timestamps onto this table's epoch.
     pub(crate) fn absorb(&mut self, other: &[SpanRecord], shift_ns: u64) {
         let base = self.spans.len();
-        let graft = self.open.last().copied();
+        let graft = self.innermost(thread::current().id());
         let graft_depth = graft.map_or(0, |p| self.spans[p].depth + 1);
         for s in other {
             self.spans.push(SpanRecord {
@@ -116,5 +145,20 @@ mod tests {
         t.close(a, 20);
         assert!(t.spans.iter().all(|s| s.closed));
         assert_eq!(t.spans[1].dur_ns, 15);
+    }
+
+    #[test]
+    fn a_late_drop_of_a_force_closed_span_closes_nothing_else() {
+        let mut t = SpanTable::default();
+        let a = t.open("a", 0);
+        let b = t.open("b", 5);
+        t.close(a, 20); // force-closes b
+        let c = t.open("c", 30);
+        t.close(b, 40); // b's guard drops late
+        assert!(!t.spans[c].closed);
+        assert_eq!(t.spans[c].parent, None);
+        assert_eq!(t.spans[b].dur_ns, 15);
+        t.close(c, 50);
+        assert_eq!(t.spans[c].dur_ns, 20);
     }
 }

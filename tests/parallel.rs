@@ -8,6 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use pgsd::bench::{paper_builds, sweep};
 use pgsd::core::driver::{BuildConfig, Input, DEFAULT_GAS};
 use pgsd::core::{Session, Strategy};
 use pgsd::fuzz::diff::{Sabotage, TransformSet};
@@ -37,31 +38,51 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Returns the formatted CSV rows, exactly as `fig4_overhead` lays its
 /// aggregation out.
 fn mini_fig4_csv(threads: usize) -> Vec<String> {
-    let session = Session::from_source("mini", SRC).threads(threads);
-    session.train(&[Input::args(&[20])], DEFAULT_GAS).unwrap();
-    let configs = Strategy::paper_configs();
-    let seeds = 4u64;
-    let jobs: Vec<(usize, u64)> = (0..configs.len())
-        .flat_map(|ci| (0..seeds).map(move |seed| (ci, seed)))
-        .collect();
-    let cycles = pgsd::exec::map_indexed(threads, &jobs, |_, &(ci, seed)| {
-        let config = BuildConfig::diversified(configs[ci].1, seed);
-        let image = session.build_with(&config).unwrap();
+    let session = trained_session();
+    let seeds = 4;
+    let cycles = sweep(&session, &paper_builds(), seeds, threads, |image| {
         let outcome = session.run(&image, &Input::args(&[20]), DEFAULT_GAS, "ref");
         assert!(outcome.status().is_some(), "{:?}", outcome.exit);
         outcome.stats.cycles
     });
-    // Aggregate in the serial (config, seed) nested order, like the
-    // real harness, so float formatting cannot differ.
-    let mut rows = Vec::new();
-    for (ci, (label, _)) in configs.iter().enumerate() {
-        let mut total = 0.0;
-        for seed in 0..seeds {
-            total += cycles[ci * seeds as usize + seed as usize] as f64 / seeds as f64;
+    Strategy::paper_configs()
+        .iter()
+        .zip(&cycles)
+        .map(|((label, _), per_seed)| {
+            let total: f64 = per_seed.iter().map(|&c| c as f64).sum();
+            format!("{label},{:.4}", total / seeds as f64)
+        })
+        .collect()
+}
+
+fn trained_session() -> Session {
+    let session = Session::from_source("mini", SRC);
+    session.train(&[Input::args(&[20])], DEFAULT_GAS).unwrap();
+    session
+}
+
+/// `sweep` returns, per config and in seed order, exactly the images a
+/// cold session builds one seed at a time, at any thread count.
+#[test]
+fn sweep_matches_per_seed_builds_at_any_thread_count() {
+    let configs = [
+        BuildConfig::diversified(Strategy::range(0.1, 0.5), 0),
+        BuildConfig::full_diversity(Strategy::uniform(0.3), 0),
+    ];
+    let texts = |threads| sweep(&trained_session(), &configs, 3, threads, |i| i.text);
+    let swept = texts(1);
+    assert_eq!(swept, texts(4), "sweep diverged across thread counts");
+    let cold = trained_session();
+    for (config, per_seed) in configs.iter().zip(&swept) {
+        assert_ne!(per_seed[0], per_seed[1], "the sweep applies each seed");
+        for (seed, text) in (0u64..).zip(per_seed) {
+            let config = BuildConfig {
+                seed,
+                ..config.clone()
+            };
+            assert_eq!(*text, cold.build_with(&config).unwrap().text);
         }
-        rows.push(format!("{label},{total:.4}"));
     }
-    rows
 }
 
 #[test]
