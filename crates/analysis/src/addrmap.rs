@@ -8,25 +8,30 @@
 //! that falls through into it). This module turns that byproduct into a
 //! persistent artifact: an [`AddrMap`] that answers both
 //! [`baseline_to_variant`](AddrMap::baseline_to_variant) and
-//! [`variant_to_baseline`](AddrMap::variant_to_baseline) lookups and
-//! serializes to a compact delta/run-length binary encoding
-//! ([`AddrMap::encode`] / [`AddrMap::decode`]).
+//! [`variant_to_baseline`](AddrMap::variant_to_baseline) lookups.
 //!
-//! The encoding exploits two invariants of the validation walk: within a
-//! function, baseline addresses and variant addresses both increase
-//! strictly monotonically, so consecutive pairs are stored as small
-//! deltas, and runs of identical deltas (straight-line code with no
-//! diversification between two points) collapse into one run-length
-//! group. Undiversified, byte-identical functions (the runtime library —
-//! the common case, which `divcheck` never even decodes) are stored as a
+//! A map is kept in the same run-length form its binary encoding
+//! stores. Within a function, baseline addresses and variant addresses
+//! both increase strictly monotonically, so each pair is a small delta
+//! from the one before, and a [`Run`] of `n` pairs with identical deltas
+//! (straight-line code with no diversification between two points) is
+//! one element. Lookups binary-search the runs and step arithmetically
+//! inside one, so a map's memory is linear in its encoded size whatever
+//! its pair count. Undiversified, byte-identical functions (the runtime
+//! library — the common case, which `divcheck` never even decodes) are a
 //! single *linear* entry: `variant = baseline + constant`.
 //!
-//! Decoding is defensive: a checksum trailer detects truncation and
-//! corruption, and every read is bounds-checked, so a damaged artifact
-//! yields an error — never a panic, and never a silently wrong map.
-
-/// Magic prefix of the binary encoding ("PGSD AddrMap v1").
-pub const ADDRMAP_MAGIC: &[u8; 8] = b"PGSDAMP1";
+//! The codec lives with the other persisted formats in
+//! `pgsd_cache::artifact` (`encode_addr_map` / `decode_addr_map`): one
+//! envelope, tag `PGSDAMP1`, and one bounds-checked reader for images,
+//! profiles and maps. Decoding rejects every map that breaks the
+//! invariants the lookups rely on: a run of length zero, a pair that
+//! does not advance on both sides after the function's first, a span
+//! `[lo, hi]` reaching back to the previous instruction or below the
+//! function start, a pair outside its function's bounds, or a linear
+//! entry whose two spans differ in length. A damaged or hostile artifact
+//! therefore yields an error — never a panic, and never a silently
+//! wrong map.
 
 /// One function's slice of the map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,13 +47,33 @@ pub struct FuncEntry {
     /// One past the last variant address.
     pub var_end: u32,
     /// Byte-identical function: `variant = baseline + (var_start -
-    /// base_start)` and `pairs` is empty.
+    /// base_start)` and `runs` is empty.
     pub linear: bool,
-    /// `(baseline, lo, hi)` per baseline instruction, sorted by
-    /// `baseline`: the matching variant instruction starts at `hi`, and
-    /// `lo ≤ hi` extends down through the run of inserted NOPs that
-    /// falls through into it.
-    pub pairs: Vec<(u32, u32, u32)>,
+    /// The `(baseline, lo, hi)` pairs, one per baseline instruction in
+    /// address order, as runs of equal deltas: the matching variant
+    /// instruction starts at `hi`, and `lo ≤ hi` extends down through
+    /// the run of inserted NOPs that falls through into it.
+    pub runs: Vec<Run>,
+}
+
+/// `n` consecutive `(baseline, lo, hi)` pairs, each `(db, dh)` past the
+/// one before it (the first past the previous run's last pair, or past
+/// `(base_start, var_start)` at the start of a function), all with `hi -
+/// lo = pad`. This is exactly one run-length group of the encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Baseline address of the first pair.
+    pub base: u32,
+    /// Variant instruction address (`hi`) of the first pair.
+    pub hi: u32,
+    /// Number of pairs, at least 1.
+    pub n: u32,
+    /// Baseline step between pairs.
+    pub db: u32,
+    /// Variant step between pairs.
+    pub dh: u32,
+    /// NOP padding `hi - lo` of every pair.
+    pub pad: u32,
 }
 
 impl FuncEntry {
@@ -61,7 +86,44 @@ impl FuncEntry {
             var_start,
             var_end: var_start + (base_end - base_start),
             linear: true,
-            pairs: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Builds a diversified entry from its `(baseline, lo, hi)` pairs in
+    /// address order, collapsing consecutive equal deltas into runs.
+    pub fn mapped(
+        name: &str,
+        (base_start, base_end): (u32, u32),
+        (var_start, var_end): (u32, u32),
+        pairs: impl IntoIterator<Item = (u32, u32, u32)>,
+    ) -> FuncEntry {
+        let pairs = pairs.into_iter();
+        let mut runs: Vec<Run> = Vec::with_capacity(pairs.size_hint().0);
+        let mut prev = (base_start, var_start);
+        for (base, lo, hi) in pairs {
+            let (db, dh, pad) = (base - prev.0, hi - prev.1, hi - lo);
+            match runs.last_mut() {
+                Some(r) if (r.db, r.dh, r.pad) == (db, dh, pad) => r.n += 1,
+                _ => runs.push(Run {
+                    base,
+                    hi,
+                    n: 1,
+                    db,
+                    dh,
+                    pad,
+                }),
+            }
+            prev = (base, hi);
+        }
+        FuncEntry {
+            name: name.to_string(),
+            base_start,
+            base_end,
+            var_start,
+            var_end,
+            linear: false,
+            runs,
         }
     }
 }
@@ -101,11 +163,15 @@ impl AddrMap {
                 addr - f.base_start + f.var_start,
             ));
         }
-        let i = f.pairs.partition_point(|&(b, _, _)| b <= addr);
-        match f.pairs.get(i.checked_sub(1)?) {
-            Some(&(b, lo, hi)) if b == addr => Some((lo, hi)),
-            _ => None,
+        let i = f.runs.partition_point(|r| r.base <= addr);
+        let r = f.runs.get(i.checked_sub(1)?)?;
+        let off = addr - r.base;
+        let k = off / r.db.max(1);
+        if k >= r.n || k * r.db != off {
+            return None;
         }
+        let hi = r.hi + k * r.dh;
+        Some((hi - r.pad, hi))
     }
 
     /// Maps a variant address back to the baseline instruction it
@@ -127,202 +193,19 @@ impl AddrMap {
             // substitution-pattern bytes before the next span — all of
             // which execute on behalf of the same baseline instruction.
             // Shift-prologue bytes before the first span bind to the
-            // function entry (the prologue jumps there).
-            let i = f.pairs.partition_point(|&(_, lo, _)| lo <= addr);
-            match f.pairs.get(i.saturating_sub(1)) {
-                Some(&(b, _, _)) => b,
-                // A diversified function with no matched instructions
-                // (empty body) — nothing to bind to.
-                None => return None,
-            }
+            // function entry (the prologue jumps there). A diversified
+            // function with no matched instructions (empty body) has
+            // nothing to bind to.
+            let i = f.runs.partition_point(|r| r.hi - r.pad <= addr);
+            let r = f.runs.get(i.saturating_sub(1))?;
+            let k = addr.saturating_sub(r.hi - r.pad) / r.dh.max(1);
+            r.base + k.min(r.n - 1) * r.db
         };
         Some(BaselineLoc {
             function: f.name.clone(),
             addr: base,
         })
     }
-
-    /// Serializes to the delta/run-length binary form. Inverse of
-    /// [`AddrMap::decode`].
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.funcs.len() * 32);
-        out.extend_from_slice(ADDRMAP_MAGIC);
-        push_varint(&mut out, self.funcs.len() as u32);
-        for f in &self.funcs {
-            push_varint(&mut out, f.name.len() as u32);
-            out.extend_from_slice(f.name.as_bytes());
-            out.extend_from_slice(&f.base_start.to_le_bytes());
-            out.extend_from_slice(&f.base_end.to_le_bytes());
-            out.extend_from_slice(&f.var_start.to_le_bytes());
-            out.extend_from_slice(&f.var_end.to_le_bytes());
-            out.push(u8::from(f.linear));
-            if f.linear {
-                continue;
-            }
-            push_varint(&mut out, f.pairs.len() as u32);
-            // Delta-encode against the previous pair (function bounds for
-            // the first), run-length collapsing identical delta groups.
-            let mut prev = (f.base_start, f.var_start);
-            let mut i = 0usize;
-            while i < f.pairs.len() {
-                let group = delta_of(f.pairs[i], prev);
-                let mut n = 1usize;
-                let mut p = step(prev, f.pairs[i]);
-                while i + n < f.pairs.len() && delta_of(f.pairs[i + n], p) == group {
-                    p = step(p, f.pairs[i + n]);
-                    n += 1;
-                }
-                push_varint(&mut out, n as u32);
-                push_varint(&mut out, group.0);
-                push_varint(&mut out, group.1);
-                push_varint(&mut out, group.2);
-                prev = p;
-                i += n;
-            }
-        }
-        let sum = fnv64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decodes the binary form produced by [`AddrMap::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Any irregularity — truncation, bad magic, checksum mismatch,
-    /// malformed varints or UTF-8 — is an error, never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<AddrMap, String> {
-        if bytes.len() < ADDRMAP_MAGIC.len() + 8 {
-            return Err("addr map truncated".into());
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let sum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if fnv64(body) != sum {
-            return Err("addr map checksum mismatch".into());
-        }
-        if &body[..ADDRMAP_MAGIC.len()] != ADDRMAP_MAGIC {
-            return Err("addr map bad magic".into());
-        }
-        let mut pos = ADDRMAP_MAGIC.len();
-        let nfuncs = read_varint(body, &mut pos)?;
-        let mut funcs = Vec::new();
-        for _ in 0..nfuncs {
-            let nlen = read_varint(body, &mut pos)? as usize;
-            let name_bytes = body
-                .get(pos..pos.checked_add(nlen).ok_or("name length overflow")?)
-                .ok_or("addr map truncated in name")?;
-            let name =
-                String::from_utf8(name_bytes.to_vec()).map_err(|_| "name not UTF-8".to_string())?;
-            pos += nlen;
-            let base_start = read_u32(body, &mut pos)?;
-            let base_end = read_u32(body, &mut pos)?;
-            let var_start = read_u32(body, &mut pos)?;
-            let var_end = read_u32(body, &mut pos)?;
-            let linear = match body.get(pos) {
-                Some(0) => false,
-                Some(1) => true,
-                _ => return Err("addr map bad linear flag".into()),
-            };
-            pos += 1;
-            let mut pairs = Vec::new();
-            if !linear {
-                let npairs = read_varint(body, &mut pos)? as usize;
-                let mut prev = (base_start, var_start);
-                while pairs.len() < npairs {
-                    let n = read_varint(body, &mut pos)?;
-                    let db = read_varint(body, &mut pos)?;
-                    let dh = read_varint(body, &mut pos)?;
-                    let pad = read_varint(body, &mut pos)?;
-                    if n == 0 || pairs.len() + n as usize > npairs {
-                        return Err("addr map bad run length".into());
-                    }
-                    for _ in 0..n {
-                        let b = prev.0.checked_add(db).ok_or("pair overflow")?;
-                        let hi = prev.1.checked_add(dh).ok_or("pair overflow")?;
-                        let lo = hi.checked_sub(pad).ok_or("pair underflow")?;
-                        pairs.push((b, lo, hi));
-                        prev = (b, hi);
-                    }
-                }
-            }
-            funcs.push(FuncEntry {
-                name,
-                base_start,
-                base_end,
-                var_start,
-                var_end,
-                linear,
-                pairs,
-            });
-        }
-        if pos != body.len() {
-            return Err("addr map trailing bytes".into());
-        }
-        Ok(AddrMap { funcs })
-    }
-}
-
-/// Delta of `pair` against the previous `(base, hi)` position:
-/// `(d_base, d_hi, pad)` with `pad = hi - lo`.
-fn delta_of(pair: (u32, u32, u32), prev: (u32, u32)) -> (u32, u32, u32) {
-    let (b, lo, hi) = pair;
-    (
-        b.wrapping_sub(prev.0),
-        hi.wrapping_sub(prev.1),
-        hi.wrapping_sub(lo),
-    )
-}
-
-/// Advances the previous-position cursor past `pair`.
-fn step(_prev: (u32, u32), pair: (u32, u32, u32)) -> (u32, u32) {
-    (pair.0, pair.2)
-}
-
-fn push_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let mut v: u32 = 0;
-    for shift in (0..35).step_by(7) {
-        let b = *bytes.get(*pos).ok_or("addr map truncated in varint")?;
-        *pos += 1;
-        let low = u32::from(b & 0x7f);
-        if shift == 28 && low > 0xf {
-            return Err("varint overflows u32".into());
-        }
-        v |= low << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err("varint too long".into())
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let s = bytes
-        .get(*pos..*pos + 4)
-        .ok_or("addr map truncated in u32")?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-}
-
-/// Local FNV-1a 64 (the artifact must not depend on `pgsd-cache`).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -333,31 +216,19 @@ mod tests {
         AddrMap {
             funcs: vec![
                 FuncEntry::linear("memset", 0x1000, 0x1010, 0x1000),
-                FuncEntry {
-                    name: "main".into(),
-                    base_start: 0x1010,
-                    base_end: 0x1020,
-                    var_start: 0x1010,
-                    var_end: 0x1030,
-                    linear: false,
-                    pairs: vec![
+                FuncEntry::mapped(
+                    "main",
+                    (0x1010, 0x1020),
+                    (0x1010, 0x1030),
+                    [
                         (0x1010, 0x1012, 0x1014), // shift prologue before it
                         (0x1012, 0x1016, 0x1016),
                         (0x1015, 0x1019, 0x101b), // NOP run [0x1019, 0x101b)
                         (0x101a, 0x1020, 0x1020),
                     ],
-                },
+                ),
             ],
         }
-    }
-
-    #[test]
-    fn round_trips_through_the_binary_encoding() {
-        let m = sample();
-        let enc = m.encode();
-        let dec = AddrMap::decode(&enc).expect("decodes");
-        assert_eq!(dec, m);
-        assert_eq!(dec.encode(), enc, "encode∘decode∘encode is identity");
     }
 
     #[test]
@@ -389,15 +260,17 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_inputs_error_and_never_panic() {
-        let enc = sample().encode();
-        assert!(AddrMap::decode(&[]).is_err());
-        assert!(AddrMap::decode(&enc[..enc.len() - 1]).is_err(), "truncated");
-        let mut flipped = enc.clone();
-        flipped[10] ^= 0xff;
-        assert!(AddrMap::decode(&flipped).is_err(), "checksum catches flip");
-        let mut bad_magic = enc;
-        bad_magic[0] ^= 0xff;
-        assert!(AddrMap::decode(&bad_magic).is_err());
+    fn equal_deltas_collapse_into_one_run_and_step_inside_it() {
+        // Four 3-byte instructions, each after one inserted NOP byte.
+        let pairs = (0..4).map(|k| (0x2000 + 3 * k, 0x3001 + 4 * k, 0x3001 + 4 * k + 1));
+        let f = FuncEntry::mapped("f", (0x2000, 0x2010), (0x3000, 0x3020), pairs);
+        assert_eq!(f.runs.len(), 2, "first pair from the entry, then one run");
+        assert_eq!(f.runs[1].n, 3);
+        let m = AddrMap { funcs: vec![f] };
+        assert_eq!(m.baseline_to_variant(0x2006), Some((0x3009, 0x300a)));
+        assert_eq!(m.baseline_to_variant(0x2007), None, "mid-instruction");
+        assert_eq!(m.baseline_to_variant(0x200c), None, "past the last pair");
+        assert_eq!(m.variant_to_baseline(0x300e).unwrap().addr, 0x2009);
+        assert_eq!(m.variant_to_baseline(0x301f).unwrap().addr, 0x2009);
     }
 }

@@ -646,15 +646,12 @@ fn check_function(
     }
 
     if let Some(m) = map_out {
-        m.push(FuncEntry {
-            name: bl.name.clone(),
-            base_start: bl.start,
-            base_end: bl.end,
-            var_start: vl.start,
-            var_end: vl.end,
-            linear: false,
-            pairs: addr_map.iter().map(|(&b, &(lo, hi))| (b, lo, hi)).collect(),
-        });
+        m.push(FuncEntry::mapped(
+            &bl.name,
+            (bl.start, bl.end),
+            (vl.start, vl.end),
+            addr_map.into_iter().map(|(b, (lo, hi))| (b, lo, hi)),
+        ));
     }
     report.functions += 1;
 }

@@ -58,7 +58,7 @@ pub mod diag;
 pub mod divcheck;
 pub mod flags;
 
-pub use addrmap::{AddrMap, BaselineLoc, FuncEntry, ADDRMAP_MAGIC};
+pub use addrmap::{AddrMap, BaselineLoc, FuncEntry, Run};
 pub use audit::{
     audit_image, classify_offsets, sort_findings, ImageAudit, SurvivorAuditReport, SurvivorClass,
     SurvivorCounts,

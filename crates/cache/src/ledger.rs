@@ -65,7 +65,7 @@ pub struct LedgerRecord {
     pub config: String,
     /// Profile key (hex), or empty when the build was unprofiled.
     pub profile: String,
-    /// Encoded address-map artifact (`pgsd_analysis::AddrMap::encode`),
+    /// Encoded address-map artifact ([`crate::artifact::encode_addr_map`]),
     /// stored hex-armored in JSON. The ledger treats it as an opaque
     /// blob: decoding (and decode-failure handling) belongs to the
     /// symbolication layer.

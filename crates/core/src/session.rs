@@ -54,9 +54,9 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pgsd_analysis::{
-    audit_image, check_images_mapped, AddrMap, ImageAudit, Severity, SurvivorAuditReport,
-    Transforms,
+    audit_image, check_images_mapped, ImageAudit, Severity, SurvivorAuditReport, Transforms,
 };
+use pgsd_cache::artifact::{decode_addr_map, encode_addr_map};
 use pgsd_cache::{fnv64, Cache, Fnv64, Key, LedgerRecord};
 use pgsd_cc::driver::{emit_image_with, frontend_with, lower_module_seeded_with};
 use pgsd_cc::emit::Image;
@@ -565,14 +565,18 @@ impl Session {
         if record.module_key != mkey.hex() {
             return miss(tel);
         }
-        let Ok(map) = AddrMap::decode(&record.addr_map) else {
+        let Ok(map) = decode_addr_map(&record.addr_map) else {
             return miss(tel);
         };
         let Some(loc) = map.variant_to_baseline(fault_addr) else {
             return miss(tel);
         };
         let baseline = baseline_cached(module, mkey, &self.cache, tel)?;
-        let inst = match baseline.text.get((loc.addr - baseline.base) as usize..) {
+        let window = loc
+            .addr
+            .checked_sub(baseline.base)
+            .and_then(|off| baseline.text.get(off as usize..));
+        let inst = match window {
             Some(window) => match pgsd_x86::decode(window) {
                 Ok(d) => match d.body {
                     pgsd_x86::Body::Known(i) => format!("{i:?}"),
@@ -938,7 +942,7 @@ fn prove(
                     module_key: mkey.hex(),
                     config: ckey.key().hex(),
                     profile: profile.map_or(String::new(), |g| g.key.hex()),
-                    addr_map: map.encode(),
+                    addr_map: encode_addr_map(&map),
                 },
                 tel,
             );
@@ -1039,6 +1043,7 @@ mod tests {
     use super::*;
     use crate::curve::Strategy;
     use crate::driver::{run, DEFAULT_GAS};
+    use pgsd_analysis::{AddrMap, FuncEntry};
 
     const SRC: &str = "int main(int n) {
         int s = 0;
@@ -1320,6 +1325,33 @@ mod tests {
         );
         // The intact record still works.
         assert!(session.symbolicate(&id, image.main_addr).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_map_below_the_image_base_renders_outside_text() {
+        let session = Session::from_source("t", SRC_DIV)
+            .config(BuildConfig::diversified(Strategy::uniform(0.5), 1))
+            .ledger(true);
+        let image = session.build().unwrap();
+        // A well-formed map (valid checksum, matching module key) whose
+        // one function sends the fault address below the image base.
+        let mut rec = session
+            .cache_handle()
+            .ledger_get(&variant_id(&image))
+            .unwrap();
+        rec.addr_map = encode_addr_map(&AddrMap {
+            funcs: vec![FuncEntry::linear("main", 0x10, 0x20, image.main_addr)],
+        });
+        rec.variant_id = "00000000000000b5".into();
+        session
+            .cache_handle()
+            .ledger_put(rec, &Telemetry::disabled());
+        let sym = session
+            .symbolicate("00000000000000b5", image.main_addr)
+            .unwrap()
+            .expect("the map resolves the address");
+        assert_eq!(sym.baseline_addr, 0x10);
+        assert_eq!(sym.inst, "<outside text>");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use pgsd::cache::Fnv64;
 use pgsd::core::driver::{BuildConfig, DEFAULT_GAS};
 use pgsd::core::{Session, Strategy};
 use pgsd::emu::{InstClass, RunStats};
@@ -28,14 +29,11 @@ const VARIANT_PNOP: f64 = 0.5;
 
 /// 64-bit FNV-1a over the printed values, little-endian.
 fn digest(output: &[i32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for v in output {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
+        h.write(&v.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn entry(out: &mut String, workload: &str, build: &str, exit: &str, s: &RunStats) {
