@@ -10,15 +10,17 @@
 //! # Two levels
 //!
 //! * **Memory** — every artifact kind ([`Kind`]), held as `Arc`
-//!   snapshots in a byte-capped FIFO map. Always on (unless the cache
-//!   is [`Cache::disabled`]); shared by cloning the handle.
-//! * **Disk** — only self-contained final products (images, profiles),
-//!   as hash-named checksummed files under a cache directory (by
-//!   convention [`DEFAULT_DIR`]). There is no manifest: opening the
-//!   cache scans the directory once to index the files, and a put
-//!   writes one file (temp file + rename), however many are stored. A
-//!   corrupt or unreadable artifact file is *never* an error: the entry
-//!   is treated as absent and the build falls back to a cold compile.
+//!   snapshots in a byte-capped FIFO map: modules, LIR, baseline images,
+//!   profiles and verdicts (the pipeline stores no diversified image).
+//!   Always on (unless the cache is [`Cache::disabled`]); shared by
+//!   cloning the handle.
+//! * **Disk** — profiles only, as hash-named checksummed files under a
+//!   cache directory (by convention [`DEFAULT_DIR`]), beside the ledger.
+//!   A variant persists as its recipe in the ledger, not as an image.
+//!   There is no manifest: opening the cache scans the directory once to
+//!   index the files, and a put writes one file (temp file + rename). A
+//!   corrupt or unreadable file is *never* an error: the entry is
+//!   treated as absent and the caller falls back to a cold run.
 //!
 //! Key derivation lives with the pipeline (`pgsd_core::session`); this
 //! crate only stores blobs under [`Key`]s. Hits, misses, evictions,
@@ -107,23 +109,16 @@ impl Kind {
     }
 
     /// File name of this artifact inside the cache directory, or `None`
-    /// if the kind is memory-only.
+    /// if the kind is memory-only (every kind but [`Kind::Profile`]).
     fn file_name(self, key: Key) -> Option<String> {
-        match self {
-            Kind::Image => Some(format!("img-{}.bin", key.hex())),
-            Kind::Profile => Some(format!("prof-{}.bin", key.hex())),
-            _ => None,
-        }
+        (self == Kind::Profile).then(|| format!("prof-{}.bin", key.hex()))
     }
 
-    /// The inverse of [`Kind::file_name`]: `None` for any other name.
+    /// The inverse of [`Kind::file_name`]: `None` for any other name,
+    /// a legacy `img-*.bin` image file included.
     fn of_file_name(name: &str) -> Option<(Kind, Key)> {
-        let (kind, rest) = match name.strip_prefix("img-") {
-            Some(rest) => (Kind::Image, rest),
-            None => (Kind::Profile, name.strip_prefix("prof-")?),
-        };
-        let key = Key::from_hex(rest.strip_suffix(".bin")?)?;
-        (kind.file_name(key)? == name).then_some((kind, key))
+        let key = Key::from_hex(name.strip_prefix("prof-")?.strip_suffix(".bin")?)?;
+        (Kind::Profile.file_name(key)? == name).then_some((Kind::Profile, key))
     }
 }
 
@@ -264,9 +259,8 @@ impl DiskStore {
     /// Returns `Ok(None)` when absent, `Err(())` when present but
     /// corrupt (so the caller can count it).
     fn get(&self, kind: Kind, key: Key) -> Result<Option<Slot>, ()> {
-        let file = match kind.file_name(key) {
-            Some(f) => f,
-            None => return Ok(None),
+        let Some(file) = kind.file_name(key) else {
+            return Ok(None);
         };
         if !self.index.lock().unwrap().contains_key(&(kind, key)) {
             return Ok(None);
@@ -274,15 +268,9 @@ impl DiskStore {
         let path = self.dir.join(&file);
         let decoded = fs::read(&path)
             .map_err(|e| e.to_string())
-            .and_then(|bytes| {
-                Ok(match kind {
-                    Kind::Image => Slot::Image(Arc::new(artifact::decode_image(&bytes)?)),
-                    Kind::Profile => Slot::Profile(Arc::new(artifact::decode_profile(&bytes)?)),
-                    _ => unreachable!("kind has a file name"),
-                })
-            });
+            .and_then(|bytes| artifact::decode_profile(&bytes));
         match decoded {
-            Ok(slot) => Ok(Some(slot)),
+            Ok(profile) => Ok(Some(Slot::Profile(Arc::new(profile)))),
             Err(_) => {
                 // Unreadable or corrupt: forget it so the slot can be
                 // refilled by the cold rebuild.
@@ -298,15 +286,10 @@ impl DiskStore {
     /// bytes written (0 if already present or kind is memory-only).
     /// Best-effort: an IO error degrades to "not cached".
     fn put(&self, kind: Kind, key: Key, slot: &Slot) -> u64 {
-        let file = match kind.file_name(key) {
-            Some(f) => f,
-            None => return 0,
+        let (Some(file), Slot::Profile(profile)) = (kind.file_name(key), slot) else {
+            return 0;
         };
-        let bytes = match slot {
-            Slot::Image(img) => artifact::encode_image(img),
-            Slot::Profile(p) => artifact::encode_profile(p),
-            _ => return 0,
-        };
+        let bytes = artifact::encode_profile(profile);
         let mut index = self.index.lock().unwrap();
         if index.contains_key(&(kind, key)) {
             return 0;
@@ -503,7 +486,7 @@ impl Cache {
         self.put_slot(Kind::Lir, key, Slot::Lir(lir), tel);
     }
 
-    /// Looks up an emitted image (memory first, then disk).
+    /// Looks up an emitted image (memory only).
     pub fn get_image(&self, key: Key, tel: &Telemetry) -> Option<Arc<Image>> {
         match self.get_slot(Kind::Image, key, tel)? {
             Slot::Image(i) => Some(i),
@@ -511,7 +494,7 @@ impl Cache {
         }
     }
 
-    /// Stores an emitted image (and persists it when disk-backed).
+    /// Stores an emitted image in memory; images are never persisted.
     pub fn put_image(&self, key: Key, image: Arc<Image>, tel: &Telemetry) {
         self.put_slot(Kind::Image, key, Slot::Image(image), tel);
     }
@@ -601,9 +584,9 @@ impl Cache {
         }
     }
 
-    /// Deletes every cache-owned file in `dir` (artifact files, the
-    /// ledger, a legacy manifest, stray temp files); the directory
-    /// itself is kept.
+    /// Deletes every cache-owned file in `dir` (profile files, the
+    /// ledger, a legacy manifest or `img-*.bin` image file, stray temp
+    /// files); the directory itself is kept.
     /// Returns the number of files removed. A missing directory counts
     /// as already clear.
     pub fn clear_dir(dir: &Path) -> io::Result<usize> {
@@ -734,24 +717,23 @@ mod tests {
             let c = Cache::persistent(&dir).unwrap();
             c.put_image(Key(11), sample_image(11), &tel);
             c.put_profile(Key(12), sample_profile(), &tel);
-            assert_eq!(c.stats().disk_entries, 2);
+            assert_eq!(c.stats().disk_entries, 1, "images stay in memory");
         }
         let c = Cache::persistent(&dir).unwrap();
         let tel2 = Telemetry::enabled();
-        let img = c.get_image(Key(11), &tel2).expect("disk hit");
-        assert_eq!(img.text[0], 11);
+        assert!(c.get_image(Key(11), &tel2).is_none(), "not persisted");
         let p = c.get_profile(Key(12), &tel2).expect("disk hit");
         assert_eq!(p.funcs["main"].invocations, 4);
         let snap = tel2.snapshot();
-        assert_eq!(snap.counters.get("cache.disk_hits{kind=image}"), Some(&1));
+        assert_eq!(snap.counters.get("cache.misses{kind=image}"), Some(&1));
         assert_eq!(snap.counters.get("cache.disk_hits{kind=profile}"), Some(&1));
         // Promoted: the second get is a pure memory hit.
         let tel3 = Telemetry::enabled();
-        assert!(c.get_image(Key(11), &tel3).is_some());
+        assert!(c.get_profile(Key(12), &tel3).is_some());
         assert!(!tel3
             .snapshot()
             .counters
-            .contains_key("cache.disk_hits{kind=image}"));
+            .contains_key("cache.disk_hits{kind=profile}"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -761,23 +743,27 @@ mod tests {
         let tel = Telemetry::disabled();
         {
             let c = Cache::persistent(&dir).unwrap();
-            c.put_image(Key(5), sample_image(5), &tel);
+            c.put_profile(Key(5), sample_profile(), &tel);
         }
         // Bit-flip the stored artifact.
-        let file = dir.join(format!("img-{}.bin", Key(5).hex()));
+        let file = dir.join(format!("prof-{}.bin", Key(5).hex()));
         let mut bytes = fs::read(&file).unwrap();
         bytes[20] ^= 0xff;
         fs::write(&file, &bytes).unwrap();
 
         let c = Cache::persistent(&dir).unwrap();
         let tel2 = Telemetry::enabled();
-        assert!(c.get_image(Key(5), &tel2).is_none(), "corrupt entry served");
+        assert!(
+            c.get_profile(Key(5), &tel2).is_none(),
+            "corrupt entry served"
+        );
         let snap = tel2.snapshot();
         assert_eq!(snap.counters.get("cache.corrupt"), Some(&1));
-        assert_eq!(snap.counters.get("cache.misses{kind=image}"), Some(&1));
+        assert_eq!(snap.counters.get("cache.misses{kind=profile}"), Some(&1));
         // The entry was dropped: refill works and subsequent opens are clean.
-        c.put_image(Key(5), sample_image(5), &tel);
-        assert!(c.get_image(Key(5), &Telemetry::disabled()).is_some());
+        c.put_profile(Key(5), sample_profile(), &tel);
+        let c = Cache::persistent(&dir).unwrap();
+        assert!(c.get_profile(Key(5), &Telemetry::disabled()).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -787,7 +773,7 @@ mod tests {
         let tel = Telemetry::disabled();
         {
             let c = Cache::persistent(&dir).unwrap();
-            c.put_image(Key(9), sample_image(9), &tel);
+            c.put_profile(Key(9), sample_profile(), &tel);
         }
         // The manifest older versions wrote, listing one file that is
         // present and one that is not.
@@ -795,24 +781,46 @@ mod tests {
             dir.join(MANIFEST_FILE),
             format!(
                 "{{\"schema_version\":1,\"kind\":\"pgsd-cache-manifest\",\"entries\":[\
-                 {{\"kind\":\"image\",\"key\":\"{}\",\"bytes\":1}},\
-                 {{\"kind\":\"image\",\"key\":\"{}\",\"bytes\":1}}]}}\n",
+                 {{\"kind\":\"profile\",\"key\":\"{}\",\"bytes\":1}},\
+                 {{\"kind\":\"profile\",\"key\":\"{}\",\"bytes\":1}}]}}\n",
                 Key(9).hex(),
                 Key(10).hex()
             ),
         )
         .unwrap();
         // Stray temp files and look-alike names are not artifacts.
-        fs::write(dir.join(format!("img-{}.bin.tmp", Key(11).hex())), "x").unwrap();
-        fs::write(dir.join("img-nothex.bin"), "x").unwrap();
+        fs::write(dir.join(format!("prof-{}.bin.tmp", Key(11).hex())), "x").unwrap();
+        fs::write(dir.join("prof-nothex.bin"), "x").unwrap();
         let c = Cache::persistent(&dir).unwrap();
-        assert_eq!(c.get_image(Key(9), &tel).unwrap().text[0], 9);
-        assert!(c.get_image(Key(10), &tel).is_none());
-        assert!(c.get_image(Key(11), &tel).is_none());
+        assert_eq!(
+            c.get_profile(Key(9), &tel).unwrap().funcs["main"].invocations,
+            4
+        );
+        assert!(c.get_profile(Key(10), &tel).is_none());
+        assert!(c.get_profile(Key(11), &tel).is_none());
         let stats = c.stats();
         assert_eq!(stats.disk_entries, 1);
-        let file = dir.join(format!("img-{}.bin", Key(9).hex()));
+        let file = dir.join(format!("prof-{}.bin", Key(9).hex()));
         assert_eq!(stats.disk_bytes, fs::metadata(file).unwrap().len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Older versions persisted every image as `img-<key>.bin`. Such a
+    /// file is neither indexed nor read, whatever its content.
+    #[test]
+    fn a_legacy_image_file_is_ignored_at_open() {
+        let dir = tdir("legacy-image");
+        fs::create_dir_all(&dir).unwrap();
+        let legacy = dir.join(format!("img-{}.bin", Key(4).hex()));
+        fs::write(&legacy, artifact::encode_image(&sample_image(4))).unwrap();
+        let c = Cache::persistent(&dir).unwrap();
+        let tel = Telemetry::enabled();
+        assert!(c.get_image(Key(4), &tel).is_none());
+        assert_eq!(c.stats().disk_entries, 0);
+        assert_eq!(c.stats().disk_bytes, 0);
+        let snap = tel.snapshot();
+        assert_eq!(snap.counters.get("cache.misses{kind=image}"), Some(&1));
+        assert!(legacy.exists(), "left for `clear_dir` to remove");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -822,14 +830,14 @@ mod tests {
         let tel = Telemetry::disabled();
         {
             let c = Cache::persistent(&dir).unwrap();
-            c.put_image(Key(1), sample_image(1), &tel);
             c.put_profile(Key(2), sample_profile(), &tel);
         }
         fs::write(dir.join("unrelated.txt"), "keep me").unwrap();
-        // A manifest left by an older version.
+        // A manifest and an image file left by older versions.
         fs::write(dir.join(MANIFEST_FILE), "{}").unwrap();
+        fs::write(dir.join(format!("img-{}.bin", Key(1).hex())), "x").unwrap();
         let removed = Cache::clear_dir(&dir).unwrap();
-        assert_eq!(removed, 3, "2 artifacts + legacy manifest");
+        assert_eq!(removed, 3, "profile + legacy image + legacy manifest");
         assert!(dir.join("unrelated.txt").exists());
         assert_eq!(Cache::clear_dir(&dir).unwrap(), 0);
         // Clearing a directory that never existed is fine.

@@ -32,16 +32,17 @@
 //!   by source hash × pipeline version, so [`Session::population`]
 //!   pays frontend + optimizer + regalloc once and stamps out per-seed
 //!   variants via the diversifying passes only;
-//! * **seed-dependent products** — images, validation verdicts — are
-//!   keyed by prefix-key × build-configuration fingerprint (seed,
-//!   strategy, transforms) × profile fingerprint;
+//! * the **baseline image** is keyed by prefix-key alone;
+//! * **validation verdicts** are keyed by prefix-key × build-configuration
+//!   fingerprint (seed, strategy, transforms) × profile fingerprint. The
+//!   diversified image itself is not stored: it re-derives from the
+//!   memoized LIR, and its verdict and ledger record spare the re-proof;
 //! * **profiles** are keyed by prefix-key × training inputs × gas.
 //!
-//! Cached and cold builds are byte-identical: a cache hit returns the
-//! same `Image` value a cold build would produce (tests/cache.rs and
-//! the CI `cache-smoke` job enforce this), and any key ingredient
-//! change — source edit, config change, pipeline version bump — misses
-//! and rebuilds. See DESIGN.md "Incremental variant production".
+//! Cached and cold builds are byte-identical (tests/cache.rs and the CI
+//! `cache-smoke` job enforce this), and any key ingredient change —
+//! source edit, config change, pipeline version bump — misses and
+//! rebuilds. See DESIGN.md "Incremental variant production".
 //!
 //! # Determinism
 //!
@@ -136,7 +137,8 @@ fn config_fingerprint(h: &mut Fnv64, config: &BuildConfig) {
     .expect("infallible");
 }
 
-/// Key of an emitted image. The profile fingerprint participates
+/// Key of an emitted image: a baseline's cache key, and the root of a
+/// variant's verdict key. The profile fingerprint participates
 /// whenever a profile is present for a diversifying build — a coarser
 /// rule than "the strategy consults it", which can only cause extra
 /// misses, never stale hits.
@@ -836,12 +838,14 @@ fn lowered_cached(
     Ok(funcs)
 }
 
-/// One cached build: image-level memoization, then the diversifying
-/// delta over the memoized baseline LIR. This is the only function that
-/// runs lower → diversify → emit → prove in order; a session with
-/// [`Cache::disabled`] runs it cold and produces the same bytes. A
-/// diversified image is proven (see [`prove`]) before it is cached, so
-/// a variant that fails its proof is never stored.
+/// One cached build: the baseline image is memoized; a diversified
+/// image is not, since it is a deterministic function of module,
+/// profile and config that re-derives from the memoized LIR in a
+/// fraction of a millisecond. Its verdict and ledger record stay cached,
+/// so a rebuilt variant is not proven again (see [`prove`]). This is the
+/// only function that runs lower → diversify → emit → prove in order; a
+/// session with [`Cache::disabled`] runs it cold and produces the same
+/// bytes.
 fn build_cached(
     module: &Module,
     mkey: Key,
@@ -854,31 +858,21 @@ fn build_cached(
     let _build_span = tel.span("build");
     let consulted = profile.map(|g| &*g.profile);
     require_profile(config, consulted)?;
-    let diversifying = is_diversifying(config);
     let ikey = image_key(mkey, config, profile);
-    if let Some(hit) = cache.get_image(ikey, tel) {
-        let image = (*hit).clone();
-        if diversifying {
-            prove(module, mkey, profile, config, &image, ikey, cache, ledger)?;
+    if !is_diversifying(config) {
+        if let Some(hit) = cache.get_image(ikey, tel) {
+            return Ok((*hit).clone());
         }
+        let lowered = lowered_cached(module, mkey, None, cache, tel)?;
+        let image = emit_image_with(&lowered, module, tel)?;
+        cache.put_image(ikey, Arc::new(image.clone()), tel);
         return Ok(image);
     }
-    let reg_seed = if config.reg_randomize {
-        Some(config.seed)
-    } else {
-        None
-    };
-    let lowered = lowered_cached(module, mkey, reg_seed, cache, tel)?;
-    let image = if diversifying {
-        let mut funcs = (*lowered).clone();
-        apply_diversity(&mut funcs, consulted, config);
-        let image = emit_image_with(&funcs, module, tel)?;
-        prove(module, mkey, profile, config, &image, ikey, cache, ledger)?;
-        image
-    } else {
-        emit_image_with(&lowered, module, tel)?
-    };
-    cache.put_image(ikey, Arc::new(image.clone()), tel);
+    let reg_seed = config.reg_randomize.then_some(config.seed);
+    let mut funcs = (*lowered_cached(module, mkey, reg_seed, cache, tel)?).clone();
+    apply_diversity(&mut funcs, consulted, config);
+    let image = emit_image_with(&funcs, module, tel)?;
+    prove(module, mkey, profile, config, &image, ikey, cache, ledger)?;
     Ok(image)
 }
 
@@ -1219,16 +1213,11 @@ mod tests {
             .validated()
             .with_telemetry(tel.clone());
         let session = Session::from_source("t", SRC).config(config).ledger(true);
-        // Build the baseline first: from here on, every baseline fetch
-        // (one per proof) is an image-cache hit.
-        session
-            .build_with(&BuildConfig::baseline().with_telemetry(tel.clone()))
-            .unwrap();
-        let image_hits = || tel.snapshot().counters["cache.hits{kind=image}"];
+        let proofs = || tel.spans().iter().filter(|s| s.name == "validate").count();
         let a = session.build().unwrap();
-        assert_eq!(image_hits(), 1, "a fresh build runs one proof");
+        assert_eq!(proofs(), 1, "a fresh build runs one proof");
         let b = session.build().unwrap();
-        assert_eq!(image_hits(), 2, "a rebuild hits its image and runs none");
+        assert_eq!(proofs(), 1, "a rebuild re-derives the image and runs none");
         assert_eq!(a, b);
         assert!(session.cache_handle().ledger_get(&variant_id(&a)).is_some());
         assert_eq!(tel.snapshot().counters["validate.passed"], 2);

@@ -413,10 +413,9 @@ const HELP: &str = "\
 Global flags, valid anywhere on the command line (before or after the
 subcommand):
 
-  --cache-dir DIR  persist compiled artifacts (modules, lowered code,
-                   images, profiles, validation verdicts) under DIR and
-                   reuse them across invocations; without it each
-                   invocation uses a private in-memory cache
+  --cache-dir DIR  persist training profiles and the variant ledger
+                   under DIR and reuse them across invocations; without
+                   it each invocation uses a private in-memory cache
   --threads N      worker count for parallel sections (training runs,
                    fuzz scans, bench passes; default `PGSD_THREADS`,
                    else available parallelism)
@@ -490,8 +489,8 @@ fixed field order instead of prose.
 
 `serve` runs a variant-distribution daemon: it binds `--addr` (default
 127.0.0.1:7340), prints the bound address, and answers framed protocol
-requests — each diversify request compiles (or serves from the shared
-warm cache) one variant, ledgers its provenance, and streams back the
+requests — each diversify request derives one variant from the shared
+warm cache's lowered code, ledgers its provenance, and streams back the
 image artifact. Seeds not pinned by the client are assigned from a
 fresh sequence starting at `--seed-start` (default 1). The request
 queue is bounded at `--queue` connections (default 32); beyond it

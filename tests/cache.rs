@@ -86,14 +86,10 @@ fn warm_builds_are_byte_identical_across_paper_configs() {
         None,
         "first pass must be all misses"
     );
-    let images = cold.len() as u64;
     assert_eq!(
-        warm_doc
-            .counters
-            .get("cache.disk_hits{kind=image}")
-            .copied(),
-        Some(images),
-        "second pass must serve every image from disk: {:?}",
+        warm_doc.counters.get("cache.disk_hits{kind=image}"),
+        None,
+        "images are never persisted: {:?}",
         warm_doc.counters
     );
     assert_eq!(
@@ -110,23 +106,29 @@ fn warm_builds_are_byte_identical_across_paper_configs() {
 fn source_edit_forces_a_miss_with_correct_output() {
     let dir = scratch("edit");
     let config = BuildConfig::diversified(Strategy::uniform(0.4), 5);
-    let first = session_on(&dir, &Telemetry::disabled());
+    // One cache handle for both sources, so the edit is all that can
+    // make the prefix miss.
+    let cache = Cache::persistent(&dir).unwrap();
+    let first = Session::from_source("cachetest", SRC).cache(cache.clone());
     let text_a = first.build_with(&config).unwrap().text;
 
     let edited = SRC.replace("x * 37", "x * 41");
     let tel = Telemetry::enabled();
     let session = Session::from_source("cachetest", &edited)
         .telemetry(tel.clone())
-        .cache(Cache::persistent(&dir).unwrap());
+        .cache(cache);
     let text_b = session
         .build_with(&config.clone().with_telemetry(tel.clone()))
         .unwrap()
         .text;
 
     let doc = tel.snapshot();
-    assert_eq!(doc.counters.get("cache.hits{kind=image}").copied(), None);
-    assert_eq!(doc.counters.get("cache.misses{kind=image}"), Some(&1));
+    assert_eq!(doc.counters.get("cache.misses{kind=module}"), Some(&1));
+    assert_eq!(doc.counters.get("cache.misses{kind=lir}"), Some(&1));
+    assert_eq!(doc.counters.get("cache.hits{kind=lir}"), None);
     assert_ne!(text_a, text_b, "the edit must reach the machine code");
+    let rebuilt = first.build_with(&config).unwrap().text;
+    assert_eq!(rebuilt, text_a, "a rebuilt seed is byte-identical");
     let truth = Session::from_source("cachetest", &edited)
         .cache(Cache::disabled())
         .build_with(&config)
@@ -156,15 +158,21 @@ fn config_change_forces_a_miss_and_same_config_hits() {
         .text;
     let doc = tel.snapshot();
     assert_eq!(
-        doc.counters.get("cache.misses{kind=image}"),
+        doc.counters.get("cache.misses{kind=lir}"),
         Some(&1),
-        "the new seed is a miss: {:?}",
+        "a new process lowers once: {:?}",
         doc.counters
     );
     assert_eq!(
-        doc.counters.get("cache.disk_hits{kind=image}"),
+        doc.counters.get("cache.hits{kind=lir}"),
         Some(&1),
-        "the old seed is a disk hit"
+        "both seeds derive from the one lowering"
+    );
+    assert_eq!(doc.counters.get("cache.misses{kind=module}"), Some(&1));
+    assert_eq!(
+        doc.counters.get("cache.misses{kind=image}"),
+        None,
+        "a variant never looks up an image"
     );
     assert_ne!(a, b);
     assert_eq!(a, cold_text(&seed_1, false));
@@ -174,28 +182,30 @@ fn config_change_forces_a_miss_and_same_config_hits() {
 #[test]
 fn corrupt_artifact_falls_back_to_cold_build() {
     let dir = scratch("corrupt");
-    let config = BuildConfig::diversified(Strategy::uniform(0.4), 7);
-    let text = session_on(&dir, &Telemetry::disabled())
-        .build_with(&config)
-        .unwrap()
-        .text;
+    let config = BuildConfig::diversified(Strategy::range(0.0, 0.5), 7);
+    let train = [Input::args(&[40])];
+    let first = session_on(&dir, &Telemetry::disabled());
+    first.train(&train, DEFAULT_GAS).unwrap();
+    let text = first.build_with(&config).unwrap().text;
 
-    // Trash every image artifact on disk in place (same name and length,
-    // so the directory scan still *claims* to have the entry).
+    // Trash every profile artifact on disk in place (same name and
+    // length, so the directory scan still *claims* to have the entry).
     let mut trashed = 0;
     for entry in fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if name.starts_with("img-") {
+        if name.starts_with("prof-") {
             let len = fs::metadata(&path).unwrap().len() as usize;
             fs::write(&path, vec![0xAB; len]).unwrap();
             trashed += 1;
         }
     }
-    assert!(trashed > 0, "expected an image artifact on disk");
+    assert!(trashed > 0, "expected a profile artifact on disk");
 
     let tel = Telemetry::enabled();
-    let rebuilt = session_on(&dir, &tel)
+    let session = session_on(&dir, &tel);
+    session.train(&train, DEFAULT_GAS).unwrap();
+    let rebuilt = session
         .build_with(&config.with_telemetry(tel.clone()))
         .unwrap()
         .text;
@@ -205,7 +215,9 @@ fn corrupt_artifact_falls_back_to_cold_build() {
         "corruption must be detected: {:?}",
         doc.counters
     );
-    assert_eq!(doc.counters.get("cache.misses{kind=image}"), Some(&1));
+    assert_eq!(doc.counters.get("cache.misses{kind=profile}"), Some(&1));
+    let train_runs = tel.spans().iter().filter(|s| s.name == "train_run").count();
+    assert_eq!(train_runs, 1, "the profile must be trained cold");
     assert_eq!(rebuilt, text, "the fallback cold build must be identical");
 }
 
@@ -265,10 +277,59 @@ fn population_pays_the_pipeline_prefix_exactly_once() {
         doc.counters
     );
 
-    // A second population over the same session is pure image hits.
-    session.population(16).unwrap();
+    // A second population re-derives every variant from the same LIR
+    // and lowers nothing: 17 more LIR hits, the pre-warm and one per seed.
+    let again = session.population(16).unwrap();
+    assert_eq!(again, images, "re-derived variants are byte-identical");
     let doc = tel.snapshot();
-    assert_eq!(doc.counters.get("cache.hits{kind=image}"), Some(&16));
+    assert_eq!(doc.counters.get("cache.hits{kind=lir}"), Some(&33));
+    let spans = tel.spans();
+    assert_eq!(spans.iter().filter(|s| s.name == "lower").count(), 1);
+}
+
+/// A variant persists as its ledger record, not as an image: after the
+/// first of 50 fresh seeds, no build adds an artifact on disk or in
+/// memory, and rebuilding every seed re-derives the same bytes without
+/// proving any of them again.
+#[test]
+fn fresh_variants_add_ledger_records_and_no_artifacts() {
+    let dir = scratch("recipes");
+    let tel = Telemetry::enabled();
+    let session = session_on(&dir, &tel).ledger(true);
+    session.train(&[Input::args(&[40])], DEFAULT_GAS).unwrap();
+    let build = |seed| {
+        let config =
+            BuildConfig::diversified(Strategy::range(0.0, 0.5), seed).with_telemetry(tel.clone());
+        session.build_with(&config).unwrap().text
+    };
+    let occupancy = || {
+        let s = session.cache_handle().stats();
+        (s.disk_entries, s.disk_bytes, s.mem_entries)
+    };
+    let mut texts = vec![build(1)];
+    let after_first = occupancy();
+    texts.extend((2..=50).map(build));
+    assert_eq!(occupancy(), after_first);
+    assert_eq!(session.cache_handle().stats().ledger_records, 50);
+
+    let names: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names
+            .iter()
+            .all(|n| n == pgsd::cache::LEDGER_FILE || n.starts_with("prof-")),
+        "only profiles and the ledger persist: {names:?}"
+    );
+
+    let proofs = || tel.spans().iter().filter(|s| s.name == "validate").count();
+    assert_eq!(proofs(), 50, "each fresh seed is proven once");
+    for (seed, text) in (1..=50).zip(&texts) {
+        assert_eq!(&build(seed), text, "seed {seed} re-derived differently");
+    }
+    assert_eq!(proofs(), 50, "a rebuilt seed is not proven again");
+    assert_eq!(occupancy(), after_first);
 }
 
 // ---------------------------------------------------------------------
@@ -378,13 +439,56 @@ fn cli_warm_run_reuses_the_disk_store() {
     assert_eq!(cold, warm, "warm CLI output must match cold");
     let metrics = fs::read_to_string(dir.join("m.json")).unwrap();
     let doc = pgsd::telemetry::MetricsDoc::from_json(&metrics).unwrap();
-    assert!(
-        doc.counters
-            .get("cache.disk_hits{kind=image}")
-            .copied()
-            .unwrap_or(0)
-            >= 1,
-        "second run must hit the disk store: {:?}",
+    assert_eq!(
+        doc.counters.get("cache.disk_hits{kind=profile}"),
+        Some(&1),
+        "second run must take its profile from the disk store: {:?}",
         doc.counters
     );
+}
+
+/// Older versions persisted every variant as `img-<key>.bin`. Such a
+/// file is not indexed at open, changes no build, and `cache clear`
+/// removes it with the rest of the store.
+#[test]
+fn cli_ignores_and_clears_a_legacy_image_file() {
+    let dir = scratch("cli-legacy");
+    fs::write(dir.join("prog.mc"), SRC).unwrap();
+    let store = dir.join("store");
+    let args = [
+        "diversify",
+        "prog.mc",
+        "--cache-dir",
+        "store",
+        "--seed",
+        "4",
+        "--out",
+        "variant.bin",
+        "25",
+    ];
+    let cold = stdout_of(&pgsd(&args, &dir));
+    let legacy = store.join("img-00000000deadbeef.bin");
+    fs::copy(dir.join("variant.bin"), &legacy).unwrap();
+
+    let profiles: Vec<u64> = fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("prof-"))
+        .map(|e| e.metadata().unwrap().len())
+        .collect();
+    assert_eq!(profiles.len(), 1);
+    let stats = stdout_of(&pgsd(
+        &["cache", "stats", "--json", "--cache-dir", "store"],
+        &dir,
+    ));
+    let expected = format!("\"disk_entries\":1,\"disk_bytes\":{},", profiles[0]);
+    assert!(stats.contains(&expected), "{stats}");
+    assert_eq!(stdout_of(&pgsd(&args, &dir)), cold);
+
+    let cleared = stdout_of(&pgsd(&["cache", "clear", "--cache-dir", "store"], &dir));
+    assert!(
+        cleared.contains("removed 3 file(s)"),
+        "profile, ledger and legacy image: {cleared}"
+    );
+    assert!(!legacy.exists());
 }
